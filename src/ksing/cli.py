@@ -21,6 +21,7 @@ from .cartan import cartan_matrix, path_counts_bruteforce, path_counts_gf
 from .errors import InputError
 from .linalg import determinant, smith_normal_form
 from .params import (
+    PrimePower,
     QuotientParams,
     iter_weight_tuples,
     validate_params,

@@ -3,14 +3,20 @@
 Dense matrices over Python's arbitrary-precision integers: products,
 transposes, unipotent-triangular inverses, determinants, Pfaffians, and
 Smith normal form with unimodular transformation certificates.  There is
-no floating point and no fixed-width fast path anywhere; entry growth is
-handled by arbitrary precision from the start.
+no floating point and no fixed-width fast path anywhere.
+
+Smith divisors of a square nonsingular matrix are computed with bounded
+entries: +-1 pivots over Z, then elimination modulo |det| (Kannan-Bachem,
+Hafner-McCurley), so intermediates stay near the size of the determinant.
+The U, V certificate comes from a separate elimination with unbounded
+entry growth; it is built only when U, D or V is read, which ``ksing snf``
+does, so that command stays slow on large inputs (family n >= 19).
 """
 
 from __future__ import annotations
 
+import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -138,19 +144,41 @@ class IntMatrix:
             )
 
 
-@dataclass(frozen=True)
 class SnfDecomposition:
-    """Certificate triple with U @ M @ V == D.
+    """Smith normal form of ``matrix``, with its certificate on demand.
 
-    U and V are unimodular (|det| = 1), D is diagonal, its nonzero
-    diagonal entries are nonnegative and each divides the next, and zeros
-    trail.  ``divisors`` lists the full diagonal of D.
+    ``divisors`` lists the full diagonal of D: nonnegative, each nonzero
+    one divides the next, and zeros trail.  ``U``, ``D`` and ``V`` are the
+    certificate U @ matrix @ V == D with U and V unimodular (|det| = 1).
+    The certificate comes from a separate elimination whose entries are
+    not bounded (thousands of bits, seconds to minutes from the unit-weight
+    family at n = 19 on); it runs once, on the first read of U, D or V, so
+    a caller that reads only ``divisors`` never pays for it.
     """
 
-    U: IntMatrix
-    D: IntMatrix
-    V: IntMatrix
-    divisors: tuple[int, ...]
+    __slots__ = ("matrix", "divisors", "_certificate")
+
+    def __init__(self, matrix: IntMatrix, divisors: tuple[int, ...], certificate=None):
+        self.matrix = matrix
+        self.divisors = divisors
+        self._certificate = certificate
+
+    def _built(self) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+        if self._certificate is None:
+            self._certificate = _snf_certificate(self.matrix)
+        return self._certificate
+
+    @property
+    def U(self) -> IntMatrix:
+        return self._built()[0]
+
+    @property
+    def D(self) -> IntMatrix:
+        return self._built()[1]
+
+    @property
+    def V(self) -> IntMatrix:
+        return self._built()[2]
 
 
 def unipotent_inverse(m: IntMatrix) -> IntMatrix:
@@ -257,16 +285,163 @@ def pfaffian(m: IntMatrix) -> int:
             for j in range(i + 1, n):
                 a[i][j] -= (a[k][i] * a[k + 1][j] - a[k][j] * a[k + 1][i]) / p
                 a[j][i] = -a[i][j]
-    assert pf.denominator == 1
+    if pf.denominator != 1:
+        raise ArithmeticError(f"Pfaffian elimination ended at non-integer {pf}")
     return int(pf)
 
 
 def smith_normal_form(m: IntMatrix) -> SnfDecomposition:
-    """Smith normal form with unimodular certificates U, V.
+    """Smith normal form of m; the U, V certificate is built on demand.
+
+    For square nonsingular m the divisors come from three steps whose
+    entries stay bounded: unimodular eliminations on +-1 pivots over Z
+    (each contributes a divisor 1), R = |det| of the block that remains
+    (Bareiss), and an elimination of that block modulo R with extended
+    gcds (Hafner-McCurley).  A singular or non-square m goes straight to
+    the certificate elimination, which also gives the trailing zero
+    divisors (gcd(0, q) = q downstream).  Reading U, D or V of the result
+    runs that elimination, whose entries are unbounded.
+    """
+    if m.is_square:
+        block = _unit_pivot_block(m)
+        r = abs(determinant(IntMatrix(block))) if block else 1
+        if r:
+            ones = (1,) * (m.rows - len(block))
+            return SnfDecomposition(m, ones + _divisors_mod(block, r))
+    cert = _snf_certificate(m)
+    diagonal = tuple(cert[1][i, i] for i in range(min(m.rows, m.cols)))
+    return SnfDecomposition(m, diagonal, cert)
+
+
+def _unit_pivot_block(m: IntMatrix) -> list[list[int]]:
+    """Eliminate +-1 pivots of a square m; return the dense block left.
+
+    Each step takes the +-1 entry of least Markowitz cost (fill-in bound
+    (row nonzeros - 1) * (column nonzeros - 1)), clears its column by row
+    operations and drops its row and column.  With every pivot a unit, the
+    block left is a Schur complement whose entries are minors of m, so they
+    stay within the Hadamard bound.
+    """
+    rows = {i: {j: x for j, x in enumerate(row) if x} for i, row in enumerate(m.entries)}
+    cols: dict[int, set[int]] = {j: set() for j in range(m.cols)}
+    for i, row in rows.items():
+        for j in row:
+            cols[j].add(i)
+    while True:
+        best = None
+        for i, row in rows.items():
+            for j, x in row.items():
+                if x == 1 or x == -1:
+                    cost = (len(row) - 1) * (len(cols[j]) - 1)
+                    if best is None or cost < best[0]:
+                        best = (cost, i, j)
+            if best is not None and best[0] == 0:
+                break
+        if best is None:
+            break
+        _, i, j = best
+        pivot_row = rows.pop(i)
+        s = pivot_row.pop(j)
+        for c in pivot_row:
+            cols[c].discard(i)
+        others = cols.pop(j)
+        others.discard(i)
+        for r in others:
+            row = rows[r]
+            f = row.pop(j) * s
+            for c, x in pivot_row.items():
+                y = row.get(c, 0) - f * x
+                if y:
+                    row[c] = y
+                    cols[c].add(r)
+                else:
+                    del row[c]
+                    cols[c].discard(r)
+    order = sorted(cols)
+    return [[rows[i].get(j, 0) for j in order] for i in sorted(rows)]
+
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, u, v) with u*a + v*b == g == gcd(a, b) for a, b >= 0.
+
+    Returns (a, 1, 0) whenever a divides b, so a pivot that already
+    divides an entry is left in place; otherwise the row and column passes
+    of _divisors_mod could undo each other forever.
+    """
+    if a and b % a == 0:
+        return a, 1, 0
+    u0, v0, u1, v1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        u0, v0, u1, v1 = u1, v1, u0 - q * u1, v0 - q * v1
+    return a, u0, v0
+
+
+def _divisors_mod(a: list[list[int]], r: int) -> tuple[int, ...]:
+    """Smith divisors of a square nonsingular a, given r = |det a|.
+
+    Works on the last row and column of the block, modulo r, with the
+    unimodular 2x2 operations of extended gcds (Cohen, Algorithm 2.4.14):
+    clear the row by column operations and the column by row operations
+    until both stay clear, and fold in a row the pivot does not divide.
+    The divisor is gcd(pivot, r); the lattice spanned by the rest of the
+    block has index r / divisor, so r shrinks to that.  Divisors come out
+    smallest first.
+    """
+    out = []
+    for i in range(len(a) - 1, -1, -1):
+        a = [[x % r for x in row[: i + 1]] for row in a[: i + 1]]
+        pivot_row = a[i]
+        while True:
+            # Zero stands for r here, so that every gcd step below makes
+            # the pivot strictly smaller and the loop ends.
+            if pivot_row[i] == 0:
+                pivot_row[i] = r
+            for j in range(i - 1, -1, -1):
+                b = pivot_row[j]
+                if b:
+                    g, u, v = _xgcd(pivot_row[i], b)
+                    x, y = pivot_row[i] // g, b // g
+                    for row in a:
+                        ri, rj = row[i], row[j]
+                        row[i] = (u * ri + v * rj) % r
+                        row[j] = (x * rj - y * ri) % r
+            moved = False
+            for j in range(i - 1, -1, -1):
+                b = a[j][i]
+                if b:
+                    g, u, v = _xgcd(pivot_row[i], b)
+                    x, y = pivot_row[i] // g, b // g
+                    other = a[j]
+                    a[j] = [(x * t - y * p) % r for p, t in zip(pivot_row, other)]
+                    if (u, v) != (1, 0):
+                        pivot_row = a[i] = [
+                            (u * p + v * t) % r for p, t in zip(pivot_row, other)
+                        ]
+                        moved = True
+            if moved:
+                continue
+            g = math.gcd(pivot_row[i], r)
+            if g == 1:
+                break
+            offender = next((row for row in a[:i] if any(x % g for x in row[:i])), None)
+            if offender is None:
+                break
+            pivot_row = a[i] = [(p + t) % r for p, t in zip(pivot_row, offender)]
+        out.append(g)
+        r //= g
+    return tuple(out)
+
+
+def _snf_certificate(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+    """Unimodular U, V and diagonal D with U @ m @ V == D.
 
     Elementary row/column reduction pivoting on the entry of minimal
     nonzero absolute value.  Row operations are mirrored on U, column
-    operations on V, so U @ m @ V == D at every step.
+    operations on V, so U @ m @ V == D at every step.  Entries are not
+    bounded: they can grow to thousands of bits on matrices whose
+    divisors are small.
     """
     nrows, ncols = m.rows, m.cols
     a = m.to_lists()
@@ -354,8 +529,4 @@ def smith_normal_form(m: IntMatrix) -> SnfDecomposition:
             row_addmul(a, t, offender, 1)
             row_addmul(u, t, offender, 1)
 
-    k = min(nrows, ncols)
-    divisors = tuple(a[i][i] for i in range(k))
-    return SnfDecomposition(
-        U=IntMatrix(u), D=IntMatrix(a), V=IntMatrix(v), divisors=divisors
-    )
+    return IntMatrix(u), IntMatrix(a), IntMatrix(v)

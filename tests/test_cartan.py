@@ -5,12 +5,14 @@ import pytest
 
 from ksing import (
     IntMatrix,
+    NotHomogeneous,
     PathExplosion,
     build_quiver,
     cartan_matrix,
     determinant,
     path_counts_bruteforce,
     path_counts_gf,
+    quiver_from_json,
     unipotent_inverse,
     validate_params,
 )
@@ -56,6 +58,16 @@ def test_bruteforce_cap():
     q = build_quiver(validate_params(8, 8, [1] * 8))
     with pytest.raises(PathExplosion):
         path_counts_bruteforce(q, cap=5)
+
+
+def test_bruteforce_rejects_non_homogeneous_quiver():
+    # One arrow 1 -> 2: vertex 1 reaches offset 1, vertex 2 does not.
+    q = quiver_from_json(
+        '{"vertex_count": 3, "relations": [],'
+        ' "arrows": [{"source": 1, "target": 2, "letter": 1}]}'
+    )
+    with pytest.raises(NotHomogeneous, match="from 2 at offset 1"):
+        path_counts_bruteforce(q)
 
 
 def test_oracle_equivalence_small():

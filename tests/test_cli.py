@@ -1,4 +1,5 @@
 import json
+import typing
 
 import pytest
 
@@ -12,6 +13,11 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_coeff_from_args_annotation_resolves():
+    hints = typing.get_type_hints(ksing.cli._coeff_from_args)
+    assert hints["return"] is ksing.PrimePower
 
 
 def test_compute_family_pretty(capsys):

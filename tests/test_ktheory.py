@@ -1,12 +1,15 @@
 import doctest
 import itertools
 import json
-from math import gcd
+from math import gcd, prod
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import ksing.cartan
 import ksing.ktheory
+import ksing.linalg
 from ksing import (
     LOW_DIM_PARAMS,
     LOW_DIM_PRINTED_DET,
@@ -330,3 +333,63 @@ def test_vanishing_iff_det_coprime_to_q():
 def test_divisors_match_snf():
     report = compute_ktheory(LOW_DIM_PARAMS, validate_prime_power(5, 1))
     assert report.divisors == smith_normal_form(report.matrix).divisors
+
+
+def test_compute_ktheory_never_builds_the_certificate(monkeypatch):
+    def refuse(m):
+        raise AssertionError("certificate elimination was run")
+
+    monkeypatch.setattr(ksing.linalg, "_snf_certificate", refuse)
+    coeff = validate_prime_power(5, 1)
+    for params in (
+        LOW_DIM_PARAMS,
+        validate_params(21, 21, (1,) * 21),
+        validate_params(101, 5, (1, 2, 3, 4, 91)),
+    ):
+        report = compute_ktheory(params, coeff)
+        assert prod(report.divisors) == params.n ** (params.d - 1)
+    assert mod_q_kernel_cokernel(LOW_DIM_PRINTED_MATRIX, 13)[0].order == 13
+
+
+def assert_divisor_invariants(params, divisors):
+    m = pipeline_matrix(params)
+    assert len(divisors) == m.rows
+    assert all(d > 0 for d in divisors)
+    assert all(b % a == 0 for a, b in zip(divisors, divisors[1:]))
+    assert prod(divisors) == abs(determinant(m))
+    # Observed on every set the certificate elimination can reach; the
+    # Smith form computes |det| itself and does not rely on it.
+    assert prod(divisors) == params.n ** (params.d - 1)
+
+
+@pytest.mark.parametrize("n", range(21, 29))
+def test_family_divisor_invariants_beyond_n_20(n):
+    params = validate_params(n, n, (1,) * n)
+    report = compute_ktheory(params, validate_prime_power(2, 1))
+    assert_divisor_invariants(params, report.divisors)
+
+
+@st.composite
+def valid_params(draw):
+    n = draw(st.integers(2, 60))
+    units = [a for a in range(1, n) if gcd(a, n) == 1]
+    if n % 2:
+        d = draw(st.integers(2, n))
+    else:
+        # Weights are units, so for even n they are odd and d must be even.
+        d = 2 * draw(st.integers(1, n // 2))
+    weights = []
+    remaining = n
+    for slot in range(d - 1):
+        room = remaining - (d - 1 - slot)
+        weights.append(draw(st.sampled_from([a for a in units if a <= room])))
+        remaining -= weights[-1]
+    assume(gcd(remaining, n) == 1)
+    return validate_params(n, d, weights + [remaining])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(valid_params())
+def test_divisor_invariants_on_random_parameters(params):
+    divisors = smith_normal_form(pipeline_matrix(params)).divisors
+    assert_divisor_invariants(params, divisors)

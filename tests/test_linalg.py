@@ -11,13 +11,20 @@ from ksing import (
     determinant,
     path_counts_gf,
     pfaffian,
+    pipeline_matrix,
     smith_normal_form,
     theorem_matrix,
     unipotent_inverse,
     validate_params,
 )
 
-from conftest import laplace_det, pfaffian4, random_int_matrix, random_unimodular
+from conftest import (
+    all_valid_params,
+    laplace_det,
+    pfaffian4,
+    random_int_matrix,
+    random_unimodular,
+)
 
 
 def random_unipotent(rng, k, bound=9):
@@ -264,6 +271,28 @@ class TestSmithNormalForm:
             left = random_unimodular(rng, k)
             right = random_unimodular(rng, k)
             assert smith_normal_form(left @ m @ right).divisors == base
+
+    def test_singular_square_keeps_the_trailing_zero(self):
+        m = IntMatrix([[1, 2], [2, 4]])
+        dec = smith_normal_form(m)
+        assert dec.divisors == (1, 0)
+        assert_snf_certificate(m, dec)
+
+    def test_non_square_divisors_come_from_the_certificate(self):
+        m = IntMatrix([[2, 4, 6], [4, 10, 12]])
+        dec = smith_normal_form(m)
+        assert dec.divisors == (2, 2)
+        assert_snf_certificate(m, dec)
+
+    def test_divisors_match_the_certificate_on_the_grid(self):
+        # Every valid parameter set with n <= 12: the bounded-growth
+        # divisors against the diagonal of the certificate elimination.
+        grid = all_valid_params(12)
+        assert len(grid) == 1318
+        for params in grid:
+            dec = smith_normal_form(pipeline_matrix(params))
+            k = dec.matrix.rows
+            assert dec.divisors == tuple(dec.D[i, i] for i in range(k)), params
 
     def test_divisor_product_is_absolute_determinant(self):
         rng = random.Random(59)

@@ -347,25 +347,33 @@ _SWEEP_COLUMNS = (
 )
 
 
-def _sweep_cell(cell) -> dict:
-    params, coeff, source = cell
-    report = ktheory.compute_ktheory(params, coeff, source)
-    det = determinant(report.matrix)
-    return {
-        "n": params.n,
-        "d": params.d,
-        "weights": ",".join(map(str, params.weights)),
-        "l": coeff.l,
-        "nu": coeff.nu,
-        "q": coeff.q,
-        "source": source,
-        "det": det,
-        "divisors": ",".join(map(str, report.divisors)),
-        "even_group": str(report.even_group),
-        "odd_group": str(report.odd_group),
-        "vanishing": report.even_group.is_trivial and report.odd_group.is_trivial,
-        "corollary": report.corollary_notes[0].conclusion,
-    }
+def _sweep_set(task) -> list[dict]:
+    """The rows of one parameter set, one per coefficient.
+
+    M does not depend on the coefficient, so its determinant is taken once
+    per set; the groups are computed per coefficient.
+    """
+    params, coeffs, source = task
+    reports = [ktheory.compute_ktheory(params, coeff, source) for coeff in coeffs]
+    det = determinant(reports[0].matrix)
+    return [
+        {
+            "n": params.n,
+            "d": params.d,
+            "weights": ",".join(map(str, params.weights)),
+            "l": report.coefficient.l,
+            "nu": report.coefficient.nu,
+            "q": report.coefficient.q,
+            "source": source,
+            "det": det,
+            "divisors": ",".join(map(str, report.divisors)),
+            "even_group": str(report.even_group),
+            "odd_group": str(report.odd_group),
+            "vanishing": report.even_group.is_trivial and report.odd_group.is_trivial,
+            "corollary": report.corollary_notes[0].conclusion,
+        }
+        for report in reports
+    ]
 
 
 def _sweep_params(args) -> list[QuotientParams]:
@@ -397,22 +405,20 @@ def _cmd_sweep(args) -> int:
     primes = _parse_int_list(args.primes)
     coeffs = [validate_prime_power(l, args.exponent) for l in primes]
     source = _SOURCE_BY_ALIAS[args.source]
-    cells = [
-        (params, coeff, source)
-        for params in _sweep_params(args)
-        for coeff in coeffs
-    ]
-    cells.sort(key=lambda cell: (cell[0].n, cell[0].d, cell[0].weights, cell[1].l, cell[1].nu))
-    if len(cells) > args.max_cells:
+    sets = sorted(_sweep_params(args), key=lambda p: (p.n, p.d, p.weights))
+    cells = len(sets) * len(coeffs)
+    if cells > args.max_cells:
         raise RangeTooLarge(
-            f"sweep grid has {len(cells)} cells, cap is {args.max_cells};"
+            f"sweep grid has {cells} cells, cap is {args.max_cells};"
             f" raise --max-cells to proceed"
         )
-    if args.jobs > 1 and cells:
+    tasks = [(params, coeffs, source) for params in sets] if coeffs else []
+    if args.jobs > 1 and tasks:
         with Pool(args.jobs) as pool:
-            rows = pool.map(_sweep_cell, cells)
+            groups = pool.map(_sweep_set, tasks)
     else:
-        rows = [_sweep_cell(cell) for cell in cells]
+        groups = [_sweep_set(task) for task in tasks]
+    rows = [row for group in groups for row in group]
     if args.format == "json":
         _emit_json({"schema_version": 1, "rows": rows})
         return 0

@@ -5,6 +5,12 @@ transposes, unipotent-triangular inverses, determinants, Pfaffians, and
 Smith normal form with unimodular transformation certificates.  There is
 no floating point and no fixed-width fast path anywhere.
 
+The unipotent inverse and the theorem matrix C @ (C^-1)^T work only where
+the inverse is nonzero, so they cost O(k^2 * z) for z the most nonzeros in
+a row or column of C^-1.  For a Cartan matrix C^-1 is lower Toeplitz with
+first column the coefficients of prod_j (1 - t^a_j), so z <= 2^d however
+large n is; a dense inverse costs O(k^3), as a dense product does.
+
 Smith divisors of a square nonsingular matrix are computed with bounded
 entries: +-1 pivots over Z, then elimination modulo |det| (Kannan-Bachem,
 Hafner-McCurley), so intermediates stay near the size of the determinant.
@@ -184,8 +190,14 @@ class SnfDecomposition:
 def unipotent_inverse(m: IntMatrix) -> IntMatrix:
     """Exact integer inverse of a lower-triangular unit-diagonal matrix.
 
-    Forward substitution; the result is again lower unipotent and
-    m @ result == identity holds exactly.
+    Forward substitution, column by column: entry (i, j) of the inverse is
+    minus the sum of m[i][t] * inv[t][j] over the nonzeros inv[t][j] found
+    so far in column j.  That costs O(k^2 * z) for z the most nonzeros in a
+    column of the inverse, and O(k^3) for a dense inverse.  The inverse of a
+    Cartan matrix is lower Toeplitz with first column the coefficients of
+    prod_j (1 - t^a_j), a product of d binomials, so there z <= 2^d.  The
+    result is again lower unipotent and m @ result == identity holds
+    exactly.
     """
     if not m.is_square:
         raise NotUnipotent(f"matrix is {m.rows}x{m.cols}, not square")
@@ -200,21 +212,40 @@ def unipotent_inverse(m: IntMatrix) -> IntMatrix:
                     f"entry ({i}, {j}) above the diagonal is {e[i][j]}"
                 )
     inv = [[0] * k for _ in range(k)]
-    for i in range(k):
-        inv[i][i] = 1
-        for j in range(i - 1, -1, -1):
-            inv[i][j] = -sum(e[i][t] * inv[t][j] for t in range(j, i))
+    for j in range(k):
+        inv[j][j] = 1
+        nonzeros = [(j, 1)]
+        for i in range(j + 1, k):
+            row = e[i]
+            x = -sum(row[t] * y for t, y in nonzeros)
+            if x:
+                inv[i][j] = x
+                nonzeros.append((i, x))
     return IntMatrix(inv)
 
 
 def theorem_matrix(c: IntMatrix, d: int) -> IntMatrix:
-    """The matrix (-1)**(d-1) * C @ (C^-1)^T - Id for a unipotent C."""
+    """The matrix (-1)**(d-1) * C @ (C^-1)^T - Id for a unipotent C.
+
+    With Q = C^-1, entry (i, j) is sign * sum_t C[i][t] * Q[j][t] - [i == j],
+    summed over the nonzeros of row j of Q only, in one pass.  The cost is
+    O(k^2 * z) for z the most nonzeros in a row of Q: z <= 2^d for a Cartan
+    matrix (see unipotent_inverse), while a dense Q costs O(k^3).
+    """
     d = operator.index(d)
     if d < 2:
         raise ValueError(f"dimension d must be at least 2, got {d}")
     sign = 1 if d % 2 == 1 else -1
-    inv_t = unipotent_inverse(c).transpose()
-    return sign * (c @ inv_t) - IntMatrix.identity(c.rows)
+    q_rows = [
+        [(t, x) for t, x in enumerate(row) if x]
+        for row in unipotent_inverse(c).entries
+    ]
+    out = []
+    for i, c_row in enumerate(c.entries):
+        row = [sign * sum(c_row[t] * x for t, x in q_row) for q_row in q_rows]
+        row[i] -= 1
+        out.append(row)
+    return IntMatrix(out)
 
 
 def determinant(m: IntMatrix) -> int:

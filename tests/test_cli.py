@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import typing
 
@@ -233,6 +235,36 @@ def test_sweep_deterministic_and_parallel_identical(capsys):
     _, second, _ = run_cli(capsys, *args)
     _, parallel, _ = run_cli(capsys, *args, "--jobs", "2")
     assert first == second == parallel
+
+
+def test_sweep_takes_one_determinant_per_parameter_set(capsys, monkeypatch):
+    dets, computes = [], []
+    determinant, compute = ksing.cli.determinant, ksing.ktheory.compute_ktheory
+
+    def counting_determinant(m):
+        dets.append(m)
+        return determinant(m)
+
+    def counting_compute(params, *args):
+        computes.append(params)
+        return compute(params, *args)
+
+    monkeypatch.setattr(ksing.cli, "determinant", counting_determinant)
+    monkeypatch.setattr(ksing.ktheory, "compute_ktheory", counting_compute)
+    args = ("sweep", "--n", "2-7", "--weights-mode", "all", "--primes", "2,3,5")
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    sets = {tuple(row[:3]) for row in rows}
+    assert len(rows) == 3 * len(sets)
+    assert len(dets) == len(sets)
+    # compute_ktheory still runs once per (set, prime) cell.
+    assert len(computes) == len(rows)
+    # --max-cells counts (set, prime) cells, not parameter sets.
+    assert run_cli(capsys, *args, "--max-cells", str(len(rows)))[0] == 0
+    code, _, err = run_cli(capsys, *args, "--max-cells", str(len(rows) - 1))
+    assert code == 2
+    assert "RangeTooLarge" in err
 
 
 def test_sweep_range_too_large(capsys):

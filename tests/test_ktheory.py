@@ -21,6 +21,7 @@ from ksing import (
     KTheoryReport,
     SourceUnavailable,
     TRIVIAL_GROUP,
+    cartan_matrix,
     compute_ktheory,
     corollary_analysis,
     determinant,
@@ -28,6 +29,8 @@ from ksing import (
     matrix_from_source,
     mod_q_kernel_cokernel,
     multiset_number,
+    path_counts_gf,
+    pfaffian,
     pipeline_matrix,
     smith_normal_form,
     validate_params,
@@ -370,14 +373,19 @@ def test_family_divisor_invariants_beyond_n_20(n):
 
 
 @st.composite
-def valid_params(draw):
-    n = draw(st.integers(2, 60))
-    units = [a for a in range(1, n) if gcd(a, n) == 1]
-    if n % 2:
-        d = draw(st.integers(2, n))
+def valid_params(draw, max_n=60, odd_d=False):
+    if odd_d:
+        # Weights are units, so an even n forces an even d.
+        n = 2 * draw(st.integers(1, (max_n - 1) // 2)) + 1
+        d = 2 * draw(st.integers(1, (n - 1) // 2)) + 1
     else:
-        # Weights are units, so for even n they are odd and d must be even.
-        d = 2 * draw(st.integers(1, n // 2))
+        n = draw(st.integers(2, max_n))
+        if n % 2:
+            d = draw(st.integers(2, n))
+        else:
+            # Weights are units, so for even n they are odd and d must be even.
+            d = 2 * draw(st.integers(1, n // 2))
+    units = [a for a in range(1, n) if gcd(a, n) == 1]
     weights = []
     remaining = n
     for slot in range(d - 1):
@@ -393,3 +401,12 @@ def valid_params(draw):
 def test_divisor_invariants_on_random_parameters(params):
     divisors = smith_normal_form(pipeline_matrix(params)).divisors
     assert_divisor_invariants(params, divisors)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(valid_params(max_n=40, odd_d=True))
+def test_pipeline_determinant_is_the_squared_pfaffian(params):
+    # For odd d, M = (C - C^T)(C^T)^-1 with C^T unipotent, so det M is
+    # Pf(C - C^T)**2.  The Pfaffian side never builds M.
+    c = cartan_matrix(path_counts_gf(params))
+    assert determinant(pipeline_matrix(params)) == pfaffian(c - c.transpose()) ** 2

@@ -37,6 +37,24 @@ def random_unipotent(rng, k, bound=9):
     )
 
 
+def reference_inverse(m):
+    """Dense forward substitution, row by row over every entry."""
+    k = m.rows
+    e = m.entries
+    inv = [[0] * k for _ in range(k)]
+    for i in range(k):
+        inv[i][i] = 1
+        for j in range(i - 1, -1, -1):
+            inv[i][j] = -sum(e[i][t] * inv[t][j] for t in range(j, i))
+    return IntMatrix(inv)
+
+
+def reference_theorem_matrix(c, d):
+    """sign * C @ (C^-1)^T - Id through the dense matrix operations."""
+    sign = 1 if d % 2 == 1 else -1
+    return sign * (c @ reference_inverse(c).transpose()) - IntMatrix.identity(c.rows)
+
+
 def random_skew(rng, k, bound=9):
     m = [[0] * k for _ in range(k)]
     for i in range(k):
@@ -109,6 +127,42 @@ class TestUnipotentInverse:
             unipotent_inverse(IntMatrix([[2, 0], [0, 1]]))
         with pytest.raises(NotUnipotent):
             unipotent_inverse(IntMatrix([[1, 5], [0, 1]]))
+
+
+class TestAgainstDenseReference:
+    """The zero-skipping inverse and one-pass M against the dense route."""
+
+    @staticmethod
+    def assert_matches(c, d):
+        assert unipotent_inverse(c) == reference_inverse(c)
+        assert theorem_matrix(c, d) == reference_theorem_matrix(c, d)
+
+    def test_grid(self):
+        for params in all_valid_params(12):
+            self.assert_matches(cartan_matrix(path_counts_gf(params)), params.d)
+
+    @pytest.mark.parametrize(
+        "n, d, weights",
+        [(n, n, (1,) * n) for n in range(3, 29)]
+        + [
+            (61, 2, (1, 60)),
+            (81, 3, (1, 40, 40)),
+            (77, 4, (1, 2, 3, 71)),
+            (91, 5, (1, 2, 3, 4, 81)),
+        ],
+    )
+    def test_family_and_wide_sets(self, n, d, weights):
+        params = validate_params(n, d, weights)
+        self.assert_matches(cartan_matrix(path_counts_gf(params)), d)
+
+    @pytest.mark.parametrize("bound", [1, 9])
+    def test_random_unipotent(self, bound):
+        # bound=1 leaves about a third of the entries below the diagonal
+        # zero, so the inverse has zeros to skip as well.
+        rng = random.Random(61 + bound)
+        for _ in range(100):
+            k = rng.randint(1, 12)
+            self.assert_matches(random_unipotent(rng, k, bound), rng.randint(2, 7))
 
 
 class TestTheoremMatrix:

@@ -390,15 +390,7 @@ def _sweep_params(args) -> list[QuotientParams]:
                 for weights in iter_weight_tuples(n, d):
                     out.append(QuotientParams(n, d, weights))
     source = _SOURCE_BY_ALIAS[args.source]
-    if source == "closed-form-family":
-        out = [
-            p
-            for p in out
-            if p.n == p.d and p.d >= 3 and all(a == 1 for a in p.weights)
-        ]
-    elif source == "paper-fixture":
-        out = [p for p in out if p == ktheory.LOW_DIM_PARAMS]
-    return out
+    return [p for p in out if ktheory._source_gap(p, source) is None]
 
 
 def _cmd_sweep(args) -> int:
@@ -450,6 +442,11 @@ _DISPATCH = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Exact results can pass the interpreter's 4,300-digit int-to-str limit,
+    # where it has one: lift it while a command runs, then put it back.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return _DISPATCH[args.command](args)
     except InputError as exc:
@@ -458,6 +455,9 @@ def main(argv=None) -> int:
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

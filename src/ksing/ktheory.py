@@ -76,27 +76,21 @@ class FiniteAbelianGroup:
 
     @classmethod
     def from_orders(cls, orders) -> "FiniteAbelianGroup":
-        """Canonicalize an arbitrary multiset of cyclic orders."""
-        by_prime: dict[int, list[int]] = {}
+        """Canonicalize an arbitrary multiset of cyclic orders.
+
+        Each order m joins the ascending chain from the top: a factor f
+        becomes lcm(f, m) and m carries on as gcd(f, m), which divides f,
+        as Z/f ⊕ Z/m ≅ Z/gcd ⊕ Z/lcm; a last carry > 1 is the new first factor.
+        """
+        factors: list[int] = []
         for m in orders:
             m = operator.index(m)
             if m < 1:
                 raise ValueError(f"cyclic order must be positive, got {m}")
-            for p, e in _factorize(m).items():
-                by_prime.setdefault(p, []).append(e)
-        if not by_prime:
-            return cls(())
-        for exps in by_prime.values():
-            exps.sort(reverse=True)
-        length = max(len(exps) for exps in by_prime.values())
-        factors = []
-        for r in range(length):
-            f = 1
-            for p, exps in by_prime.items():
-                if r < len(exps):
-                    f *= p ** exps[r]
-            factors.append(f)
-        factors.reverse()
+            for i in range(len(factors) - 1, -1, -1):
+                factors[i], m = math.lcm(factors[i], m), math.gcd(factors[i], m)
+            if m > 1:
+                factors.insert(0, m)
         return cls(tuple(factors))
 
     @property
@@ -111,20 +105,6 @@ class FiniteAbelianGroup:
         if self.is_trivial:
             return "0"
         return " ⊕ ".join(f"Z/{m}" for m in self.invariant_factors)
-
-
-def _factorize(m: int) -> dict[int, int]:
-    """Prime factorization by trial division (orders here are tiny)."""
-    out: dict[int, int] = {}
-    p = 2
-    while p * p <= m:
-        while m % p == 0:
-            out[p] = out.get(p, 0) + 1
-            m //= p
-        p += 1 if p == 2 else 2
-    if m > 1:
-        out[m] = out.get(m, 0) + 1
-    return out
 
 
 TRIVIAL_GROUP = FiniteAbelianGroup(())
@@ -299,27 +279,34 @@ def pipeline_matrix(params: QuotientParams) -> IntMatrix:
     return theorem_matrix(cartan_matrix(path_counts_gf(params)), params.d)
 
 
-def matrix_from_source(params: QuotientParams, source: str) -> IntMatrix:
-    """Resolve the matrix M for one of MATRIX_SOURCES."""
-    if source == "theorem-pipeline":
-        return pipeline_matrix(params)
+def _source_gap(params: QuotientParams, source: str) -> Optional[str]:
+    """Why ``source`` does not cover ``params``, or None when it does.
+
+    matrix_from_source raises this reason; ``ksing sweep`` skips the sets.
+    """
     if source == "closed-form-family":
         if params.n != params.d or any(a != 1 for a in params.weights):
-            raise SourceUnavailable(
-                "closed-form-family applies only to n = d with all weights 1"
-            )
+            return "closed-form-family applies only to n = d with all weights 1"
         if params.d < 3:
-            raise SourceUnavailable("closed-form-family needs d >= 3")
+            return "closed-form-family needs d >= 3"
+    elif source == "paper-fixture":
+        if params != LOW_DIM_PARAMS:
+            return "paper-fixture applies only to n = 5, d = 3, weights (1, 2, 2)"
+    elif source != "theorem-pipeline":
+        return f"unknown matrix source {source!r}; expected one of {MATRIX_SOURCES}"
+    return None
+
+
+def matrix_from_source(params: QuotientParams, source: str) -> IntMatrix:
+    """Resolve the matrix M for one of MATRIX_SOURCES."""
+    gap = _source_gap(params, source)
+    if gap is not None:
+        raise SourceUnavailable(gap)
+    if source == "closed-form-family":
         return family_matrix_closed_form(params.d)
     if source == "paper-fixture":
-        if params != LOW_DIM_PARAMS:
-            raise SourceUnavailable(
-                "paper-fixture applies only to n = 5, d = 3, weights (1, 2, 2)"
-            )
         return LOW_DIM_PRINTED_MATRIX
-    raise SourceUnavailable(
-        f"unknown matrix source {source!r}; expected one of {MATRIX_SOURCES}"
-    )
+    return pipeline_matrix(params)
 
 
 def corollary_analysis(

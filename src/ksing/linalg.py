@@ -12,11 +12,12 @@ first column the coefficients of prod_j (1 - t^a_j), so z <= 2^d however
 large n is; a dense inverse costs O(k^3), as a dense product does.
 
 Smith divisors of a square nonsingular matrix are computed with bounded
-entries: +-1 pivots over Z, then elimination modulo |det| (Kannan-Bachem,
-Hafner-McCurley), so intermediates stay near the size of the determinant.
-The U, V certificate comes from a separate elimination with unbounded
-entry growth; it is built only when U, D or V is read, which ``ksing snf``
-does, so that command stays slow on large inputs (family n >= 19).
+entries: +-1 pivots over Z, taken from the shortest rows, then elimination
+modulo |det| (Kannan-Bachem, Hafner-McCurley), so intermediates stay near
+the size of the determinant.  The U, V certificate comes from a separate
+elimination with unbounded entry growth; it is built only when U, D or V
+is read, which ``ksing snf`` does, so that command stays slow on large
+inputs (family n >= 19).
 """
 
 from __future__ import annotations
@@ -347,48 +348,34 @@ def smith_normal_form(m: IntMatrix) -> SnfDecomposition:
 def _unit_pivot_block(m: IntMatrix) -> list[list[int]]:
     """Eliminate +-1 pivots of a square m; return the dense block left.
 
-    Each step takes the +-1 entry of least Markowitz cost (fill-in bound
-    (row nonzeros - 1) * (column nonzeros - 1)), clears its column by row
-    operations and drops its row and column.  With every pivot a unit, the
-    block left is a Schur complement whose entries are minors of m, so they
-    stay within the Hadamard bound.
+    Each step pivots on a +-1 entry of the shortest row that holds one,
+    which keeps fill-in low, clears its column by walking the other rows
+    and drops its row and column, until no +-1 entry is left.  With every
+    pivot a unit, the block left is a Schur complement whose entries are
+    minors of m, so they stay within the Hadamard bound.
     """
     rows = {i: {j: x for j, x in enumerate(row) if x} for i, row in enumerate(m.entries)}
-    cols: dict[int, set[int]] = {j: set() for j in range(m.cols)}
-    for i, row in rows.items():
-        for j in row:
-            cols[j].add(i)
+    left = set(range(m.cols))
     while True:
-        best = None
-        for i, row in rows.items():
-            for j, x in row.items():
-                if x == 1 or x == -1:
-                    cost = (len(row) - 1) * (len(cols[j]) - 1)
-                    if best is None or cost < best[0]:
-                        best = (cost, i, j)
-            if best is not None and best[0] == 0:
-                break
-        if best is None:
+        by_length = sorted(rows, key=lambda i: len(rows[i]))
+        units = ((i, j) for i in by_length for j, x in rows[i].items() if x == 1 or x == -1)
+        pivot = next(units, None)
+        if pivot is None:
             break
-        _, i, j = best
+        i, j = pivot
         pivot_row = rows.pop(i)
         s = pivot_row.pop(j)
-        for c in pivot_row:
-            cols[c].discard(i)
-        others = cols.pop(j)
-        others.discard(i)
-        for r in others:
-            row = rows[r]
-            f = row.pop(j) * s
-            for c, x in pivot_row.items():
-                y = row.get(c, 0) - f * x
-                if y:
-                    row[c] = y
-                    cols[c].add(r)
-                else:
-                    del row[c]
-                    cols[c].discard(r)
-    order = sorted(cols)
+        left.discard(j)
+        for row in rows.values():
+            f = row.pop(j, 0) * s
+            if f:
+                for c, x in pivot_row.items():
+                    y = row.get(c, 0) - f * x
+                    if y:
+                        row[c] = y
+                    else:
+                        del row[c]
+    order = sorted(left)
     return [[rows[i].get(j, 0) for j in order] for i in sorted(rows)]
 
 
@@ -469,95 +456,61 @@ def _snf_certificate(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """Unimodular U, V and diagonal D with U @ m @ V == D.
 
     Elementary row/column reduction pivoting on the entry of minimal
-    nonzero absolute value.  Row operations are mirrored on U, column
-    operations on V, so U @ m @ V == D at every step.  Entries are not
-    bounded: they can grow to thousands of bits on matrices whose
-    divisors are small.
+    nonzero absolute value, on one working matrix w = [[m, I], [I, 0]]:
+    row operations on the top rows act on m and U together, column
+    operations on the left columns on m and V.  Entries are not bounded:
+    they can grow to thousands of bits on matrices whose divisors are small.
     """
     nrows, ncols = m.rows, m.cols
-    a = m.to_lists()
-    u = IntMatrix.identity(nrows).to_lists()
-    v = IntMatrix.identity(ncols).to_lists()
+    w = [list(row) + [int(i == j) for j in range(nrows)] for i, row in enumerate(m.entries)]
+    w += [[int(i == j) for j in range(ncols)] + [0] * nrows for i in range(ncols)]
 
-    def row_addmul(mat, dst, src, f):
-        rd, rs = mat[dst], mat[src]
-        for t in range(len(rd)):
-            rd[t] += f * rs[t]
-
-    def col_addmul(mat, dst, src, f):
-        for row in mat:
-            row[dst] += f * row[src]
-
-    def row_swap(mat, i, k):
-        mat[i], mat[k] = mat[k], mat[i]
-
-    def col_swap(mat, j, k):
-        for row in mat:
+    def swap_cols(j, k):
+        for row in w:
             row[j], row[k] = row[k], row[j]
 
     for t in range(min(nrows, ncols)):
-        # Minimal-|entry| pivot in the trailing submatrix.
-        best = None
-        for i in range(t, nrows):
-            for j in range(t, ncols):
-                x = a[i][j]
-                if x != 0 and (best is None or abs(x) < best[0]):
-                    best = (abs(x), i, j)
-        if best is None:
+        # The first minimal |entry| of the trailing submatrix, row-major.
+        nonzero = [
+            (abs(w[i][j]), i, j) for i in range(t, nrows) for j in range(t, ncols) if w[i][j]
+        ]
+        if not nonzero:
             break
-        _, bi, bj = best
-        if bi != t:
-            row_swap(a, bi, t)
-            row_swap(u, bi, t)
-        if bj != t:
-            col_swap(a, bj, t)
-            col_swap(v, bj, t)
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-            u[t] = [-x for x in u[t]]
-
+        _, i, j = min(nonzero)
+        w[i], w[t] = w[t], w[i]
+        swap_cols(j, t)
+        if w[t][t] < 0:
+            w[t] = [-x for x in w[t]]
         while True:
-            restart = False
-            # Clear column t below the pivot.  A nonzero remainder is a
-            # strictly smaller pivot candidate; swap it up and restart.
+            # Clear column t below the pivot, then row t right of it.  A
+            # nonzero remainder is a strictly smaller pivot; swap it in.
             for i in range(t + 1, nrows):
-                if a[i][t] != 0:
-                    q = a[i][t] // a[t][t]
-                    if q:
-                        row_addmul(a, i, t, -q)
-                        row_addmul(u, i, t, -q)
-                    if a[i][t] != 0:
-                        row_swap(a, i, t)
-                        row_swap(u, i, t)
-                        restart = True
+                if w[i][t]:
+                    q = w[i][t] // w[t][t]
+                    w[i] = [x - q * y for x, y in zip(w[i], w[t])]
+                    if w[i][t]:
+                        w[i], w[t] = w[t], w[i]
                         break
-            if restart:
-                continue
-            # Clear row t right of the pivot.
-            for j in range(t + 1, ncols):
-                if a[t][j] != 0:
-                    q = a[t][j] // a[t][t]
-                    if q:
-                        col_addmul(a, j, t, -q)
-                        col_addmul(v, j, t, -q)
-                    if a[t][j] != 0:
-                        col_swap(a, j, t)
-                        col_swap(v, j, t)
-                        restart = True
+            else:
+                for j in range(t + 1, ncols):
+                    if w[t][j]:
+                        q = w[t][j] // w[t][t]
+                        for row in w:
+                            row[j] -= q * row[t]
+                        if w[t][j]:
+                            swap_cols(j, t)
+                            break
+                else:
+                    # The pivot must divide every remaining entry to make
+                    # the divisor chain; fold an offending row into row t.
+                    p = w[t][t]
+                    for i in range(t + 1, nrows):
+                        if any(x % p for x in w[i][t + 1:ncols]):
+                            w[t] = [x + y for x, y in zip(w[t], w[i])]
+                            break
+                    else:
                         break
-            if restart:
-                continue
-            # The pivot must divide every remaining entry to make the
-            # divisor chain; fold an offending row into row t and redo.
-            p = a[t][t]
-            offender = None
-            for i in range(t + 1, nrows):
-                if any(x % p for x in a[i][t + 1:]):
-                    offender = i
-                    break
-            if offender is None:
-                break
-            row_addmul(a, t, offender, 1)
-            row_addmul(u, t, offender, 1)
 
-    return IntMatrix(u), IntMatrix(a), IntMatrix(v)
+    u = IntMatrix([row[ncols:] for row in w[:nrows]])
+    d = IntMatrix([row[:ncols] for row in w[:nrows]])
+    return u, d, IntMatrix([row[:ncols] for row in w[nrows:]])

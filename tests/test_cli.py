@@ -1,14 +1,17 @@
 import csv
 import io
 import json
+import sys
 import typing
 
 import pytest
 
 import ksing.cli
 import ksing.ktheory
-from ksing import KTheoryReport, quiver_from_json
+from ksing import KTheoryReport, SourceUnavailable, matrix_from_source, quiver_from_json
 from ksing.cli import main
+
+from conftest import all_valid_params
 
 
 def run_cli(capsys, *argv):
@@ -63,6 +66,31 @@ def test_compute_json_round_trip(capsys):
     assert payload["schema_version"] == 1
     report = KTheoryReport.from_json_dict(payload)
     assert report.to_json_dict() == payload
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"),
+    reason="this interpreter prints integers of any length",
+)
+@pytest.mark.parametrize("fmt", ["pretty", "json"])
+def test_compute_prints_integers_past_the_digit_limit(capsys, fmt):
+    # q = 2**20000 has 6,021 digits, past the default limit of 4,300 on
+    # int-to-str conversion.
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run_cli(
+        capsys, "compute", "--n", "3", "--d", "3", "--weights", "1,1,1",
+        "--prime", "2", "--exponent", "20000", "--format", fmt,
+    )
+    assert (code, err) == (0, "")
+    assert sys.get_int_max_str_digits() == limit
+    sys.set_int_max_str_digits(0)
+    try:
+        if fmt == "json":
+            assert json.loads(out)["coefficient"]["q"] == 2**20000
+        else:
+            assert f"coefficients: Z/{2**20000}  (l = 2, nu = 20000)" in out
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_compute_fixture_source(capsys):
@@ -265,6 +293,23 @@ def test_sweep_takes_one_determinant_per_parameter_set(capsys, monkeypatch):
     code, _, err = run_cli(capsys, *args, "--max-cells", str(len(rows) - 1))
     assert code == 2
     assert "RangeTooLarge" in err
+
+
+@pytest.mark.parametrize("alias", ["pipeline", "family", "fixture"])
+def test_sweep_keeps_exactly_the_sets_its_source_covers(alias):
+    source = ksing.cli._SOURCE_BY_ALIAS[alias]
+    args = ksing.cli.build_parser().parse_args(
+        ["sweep", "--n", "2-8", "--weights-mode", "all", "--source", alias]
+    )
+    accepted = set()
+    for params in all_valid_params(8):
+        try:
+            matrix_from_source(params, source)
+        except SourceUnavailable:
+            continue
+        accepted.add(params)
+    assert accepted
+    assert set(ksing.cli._sweep_params(args)) == accepted
 
 
 def test_sweep_range_too_large(capsys):

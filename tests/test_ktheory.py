@@ -94,6 +94,53 @@ class TestFiniteAbelianGroup:
             FiniteAbelianGroup.from_orders([0])
 
 
+def reference_invariant_factors(orders):
+    """Invariant factors by prime bucketing, as the seed library computed
+    them: factor every order by trial division, sort each prime's exponents
+    in descending order, and multiply the r-th largest power of every prime
+    into the r-th factor from the top."""
+
+    def factorize(m):
+        out = {}
+        p = 2
+        while p * p <= m:
+            while m % p == 0:
+                out[p] = out.get(p, 0) + 1
+                m //= p
+            p += 1 if p == 2 else 2
+        if m > 1:
+            out[m] = out.get(m, 0) + 1
+        return out
+
+    by_prime = {}
+    for m in orders:
+        for p, e in factorize(m).items():
+            by_prime.setdefault(p, []).append(e)
+    if not by_prime:
+        return ()
+    for exps in by_prime.values():
+        exps.sort(reverse=True)
+    length = max(len(exps) for exps in by_prime.values())
+    factors = []
+    for r in range(length):
+        f = 1
+        for p, exps in by_prime.items():
+            if r < len(exps):
+                f *= p ** exps[r]
+        factors.append(f)
+    return tuple(reversed(factors))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.integers(1, 10**4), max_size=10))
+def test_from_orders_matches_prime_bucketing(orders):
+    factors = FiniteAbelianGroup.from_orders(orders).invariant_factors
+    assert factors == reference_invariant_factors(orders)
+    assert all(f >= 2 for f in factors)
+    assert all(b % a == 0 for a, b in zip(factors, factors[1:]))
+    assert prod(factors) == prod(orders)
+
+
 class TestModQKernelCokernel:
     def test_multiplication_by_two_on_z4(self):
         ker, coker = mod_q_kernel_cokernel(IntMatrix([[-2]]), 4)

@@ -17,6 +17,7 @@ from ksing import (
     unipotent_inverse,
     validate_params,
 )
+from ksing.linalg import _unit_pivot_block
 
 from conftest import (
     all_valid_params,
@@ -285,6 +286,26 @@ def assert_snf_certificate(m, dec):
         dec.divisors[i] == 0 and dec.divisors[i + 1] != 0
         for i in range(len(dec.divisors) - 1)
     )
+
+
+class TestUnitPivotBlock:
+    """The +-1 elimination leaves a block with no unit entry and the same
+    |det| as the matrix it started from."""
+
+    @staticmethod
+    def assert_block(m):
+        block = _unit_pivot_block(m)
+        assert not any(x in (1, -1) for row in block for x in row)
+        r = abs(determinant(IntMatrix(block))) if block else 1
+        assert r == abs(determinant(m))
+
+    def test_grid(self):
+        for params in all_valid_params(12):
+            self.assert_block(pipeline_matrix(params))
+
+    @pytest.mark.parametrize("n", range(3, 29))
+    def test_family(self, n):
+        self.assert_block(pipeline_matrix(validate_params(n, n, (1,) * n)))
 
 
 class TestSmithNormalForm:

@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import sys
+from collections.abc import Iterator
 from multiprocessing import Pool
 
 from . import ktheory
@@ -376,34 +377,36 @@ def _sweep_set(task) -> list[dict]:
     ]
 
 
-def _sweep_params(args) -> list[QuotientParams]:
+def _sweep_params(args) -> Iterator[QuotientParams]:
     n_values = _parse_int_list(args.n)
-    out = []
     if args.weights_mode == "ones":
-        for n in n_values:
-            out.append(validate_params(n, n, (1,) * n))
+        sets = (validate_params(n, n, (1,) * n) for n in n_values)
     else:
         d_values = _parse_int_list(args.d) if args.d else None
-        for n in n_values:
-            ds = d_values if d_values is not None else range(2, n + 1)
-            for d in ds:
-                for weights in iter_weight_tuples(n, d):
-                    out.append(QuotientParams(n, d, weights))
+        sets = (
+            QuotientParams(n, d, weights)
+            for n in n_values
+            for d in (d_values if d_values is not None else range(2, n + 1))
+            for weights in iter_weight_tuples(n, d)
+        )
     source = _SOURCE_BY_ALIAS[args.source]
-    return [p for p in out if ktheory._source_gap(p, source) is None]
+    return (p for p in sets if ktheory._source_gap(p, source) is None)
 
 
 def _cmd_sweep(args) -> int:
     primes = _parse_int_list(args.primes)
     coeffs = [validate_prime_power(l, args.exponent) for l in primes]
     source = _SOURCE_BY_ALIAS[args.source]
-    sets = sorted(_sweep_params(args), key=lambda p: (p.n, p.d, p.weights))
-    cells = len(sets) * len(coeffs)
-    if cells > args.max_cells:
-        raise RangeTooLarge(
-            f"sweep grid has {cells} cells, cap is {args.max_cells};"
-            f" raise --max-cells to proceed"
-        )
+    sets = []
+    for params in _sweep_params(args):
+        sets.append(params)
+        # Checked per set, so an oversized grid is refused before it is built.
+        if len(sets) * len(coeffs) > args.max_cells:
+            raise RangeTooLarge(
+                f"sweep grid has more than {args.max_cells} cells;"
+                f" raise --max-cells to proceed"
+            )
+    sets.sort(key=lambda p: (p.n, p.d, p.weights))
     tasks = [(params, coeffs, source) for params in sets] if coeffs else []
     if args.jobs > 1 and tasks:
         with Pool(args.jobs) as pool:

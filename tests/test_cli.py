@@ -321,6 +321,26 @@ def test_sweep_range_too_large(capsys):
     assert "RangeTooLarge" in err
 
 
+def test_sweep_refuses_an_oversized_grid_before_enumerating_it(capsys, monkeypatch):
+    drawn = []
+    iter_weight_tuples = ksing.cli.iter_weight_tuples
+
+    def counting(n, d):
+        for weights in iter_weight_tuples(n, d):
+            drawn.append(weights)
+            yield weights
+
+    monkeypatch.setattr(ksing.cli, "iter_weight_tuples", counting)
+    code, _, err = run_cli(
+        capsys, "sweep", "--n", "2-16", "--weights-mode", "all",
+        "--primes", "2,3", "--max-cells", "10",
+    )
+    assert code == 2
+    assert "RangeTooLarge" in err
+    # Ten cells at two primes are five sets: the sixth passes the cap.
+    assert len(drawn) <= 10 // 2 + 1
+
+
 def test_sweep_json_format(capsys):
     code, out, _ = run_cli(
         capsys, "sweep", "--n", "3", "--weights-mode", "ones", "--primes", "3",

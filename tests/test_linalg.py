@@ -369,6 +369,18 @@ class TestSmithNormalForm:
             k = dec.matrix.rows
             assert dec.divisors == tuple(dec.D[i, i] for i in range(k)), params
 
+    def test_certificate_entries_stay_small_on_the_family(self):
+        # U, V reach 1,155 bits at n = 19 and 7,767 at n = 24; the gate
+        # leaves room without letting the old 315,060-bit growth back in.
+        for n in range(19, 25):
+            m = pipeline_matrix(validate_params(n, n, (1,) * n))
+            dec = smith_normal_form(m)
+            assert_snf_certificate(m, dec)
+            bits = max(
+                abs(x).bit_length() for w in (dec.U, dec.V) for row in w.entries for x in row
+            )
+            assert bits <= 10_000, (n, bits)
+
     def test_divisor_product_is_absolute_determinant(self):
         rng = random.Random(59)
         for _ in range(60):

@@ -5,8 +5,8 @@ so path classes between two vertices correspond to letter multisets with
 matching weight sum.  The number of classes from i to i + s therefore does
 not depend on i and equals the coefficient of t**s in the power series
 prod_j 1 / (1 - t**a_j).  Two independent routes to these numbers live
-here: exact series expansion, and brute-force path enumeration with
-multiset deduplication.
+here: exact series expansion, and a dynamic program over the quiver's
+arrows that collects each vertex's letter multisets.
 """
 
 from __future__ import annotations
@@ -41,39 +41,36 @@ def path_counts_gf(params: QuotientParams) -> list[int]:
 
 
 def path_counts_bruteforce(q: Quiver, cap: int = 10_000_000) -> list[int]:
-    """Path-class counts by depth-first enumeration of every raw path.
+    """Path-class counts by one pass over the arrows per start vertex.
 
-    Each path is canonicalized to the sorted multiset of its letters and
-    deduplicated; classes are tallied by endpoint offset.  Raises
-    PathExplosion once more than ``cap`` raw paths have been walked, and
-    NotHomogeneous unless the class count from i to i + s is the same for
-    every start vertex i, as it is for every quiver build_quiver makes.
+    In order of target, each arrow carries the raw path count and the
+    classes (sorted letter tuples) of its source into its target.  Raises
+    InputError unless every arrow goes up within the vertices, PathExplosion
+    once more than ``cap`` raw paths have been counted, and NotHomogeneous
+    unless the class count from i to i + s is the same for every start
+    vertex i, as it is for every quiver build_quiver makes.
     """
-    out: dict[int, list[tuple[int, int]]] = {
-        v: [] for v in range(1, q.vertex_count + 1)
-    }
-    for arrow in q.arrows:
-        out[arrow.source].append((arrow.target, arrow.letter))
-    for adj in out.values():
-        adj.sort()
+    if any(not 1 <= a.source < a.target <= q.vertex_count for a in q.arrows):
+        raise InputError(f"arrows must go up within vertices 1..{q.vertex_count}")
+    arrows = sorted(q.arrows, key=lambda a: a.target)
 
     raw = 0
     per_start: dict[int, dict[int, int]] = {}
     for start in range(1, q.vertex_count + 1):
-        seen: dict[int, set[tuple[int, ...]]] = {0: {()}}
-        stack: list[tuple[int, tuple[int, ...]]] = [(start, ())]
-        while stack:
-            v, letters = stack.pop()
-            for w, letter in out[v]:
-                raw += 1
+        paths = {start: 1}
+        classes: dict[int, set[tuple[int, ...]]] = {start: {()}}
+        for a in arrows:
+            if a.source in paths:
+                raw += paths[a.source]
                 if raw > cap:
                     raise PathExplosion(
                         f"more than {cap} raw paths; raise the cap to continue"
                     )
-                ext = letters + (letter,)
-                seen.setdefault(w - start, set()).add(tuple(sorted(ext)))
-                stack.append((w, ext))
-        per_start[start] = {off: len(cls) for off, cls in seen.items()}
+                paths[a.target] = paths.get(a.target, 0) + paths[a.source]
+                classes.setdefault(a.target, set()).update(
+                    tuple(sorted(c + (a.letter,))) for c in classes[a.source]
+                )
+        per_start[start] = {v - start: len(cls) for v, cls in classes.items()}
 
     base = per_start[1]
     for start in range(2, q.vertex_count + 1):

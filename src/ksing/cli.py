@@ -143,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     cartan.add_argument(
         "--check-bruteforce",
         action="store_true",
-        help="also enumerate paths directly and compare",
+        help="also count path classes from the quiver's arrows and compare",
     )
     cartan.add_argument(
         "--bruteforce-cap",

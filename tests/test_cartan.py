@@ -1,12 +1,16 @@
+import time
 from collections import defaultdict
 from math import comb
 
 import pytest
 
 from ksing import (
+    Arrow,
+    InputError,
     IntMatrix,
     NotHomogeneous,
     PathExplosion,
+    Quiver,
     build_quiver,
     cartan_matrix,
     determinant,
@@ -68,6 +72,42 @@ def test_bruteforce_rejects_non_homogeneous_quiver():
     )
     with pytest.raises(NotHomogeneous, match="from 2 at offset 1"):
         path_counts_bruteforce(q)
+
+
+@pytest.mark.parametrize(
+    "arrows",
+    [
+        [(1, 3, 1), (3, 2, 2)],  # in order of target, 3 -> 2 precedes 1 -> 3
+        [(2, 1, 1)],
+        [(1, 1, 1)],  # a loop has raw paths of every length
+    ],
+)
+def test_bruteforce_rejects_arrows_that_do_not_go_up(arrows):
+    q = Quiver(3, tuple(Arrow(*a) for a in arrows), ())
+    with pytest.raises(InputError, match="must go up") as excinfo:
+        path_counts_bruteforce(q, cap=1000)
+    assert type(excinfo.value) is InputError
+
+
+def test_bruteforce_cap_is_exact_at_the_raw_path_count():
+    # cap counts nonempty raw paths over all start vertices, so the count
+    # must pass at cap = R and raise at cap = R - 1; n = 2 has R = 0, and
+    # a negative cap is never checked
+    for params in [p for p in all_valid_params(7) if p.n > 2]:
+        q = build_quiver(params)
+        raw = sum(len(seqs) for seqs in raw_paths_by_cell(q).values())
+        raw -= q.vertex_count
+        assert path_counts_bruteforce(q, cap=raw) == path_counts_gf(params)
+        with pytest.raises(PathExplosion):
+            path_counts_bruteforce(q, cap=raw - 1)
+
+
+def test_bruteforce_cap_fails_fast():
+    q = build_quiver(validate_params(12, 12, [1] * 12))
+    began = time.perf_counter()
+    with pytest.raises(PathExplosion):
+        path_counts_bruteforce(q)
+    assert time.perf_counter() - began < 2.0
 
 
 def test_oracle_equivalence_small():

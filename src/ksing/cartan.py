@@ -45,11 +45,16 @@ def path_counts_bruteforce(q: Quiver, cap: int = 10_000_000) -> list[int]:
 
     In order of target, each arrow carries the raw path count and the
     classes (sorted letter tuples) of its source into its target.  Raises
-    InputError unless every arrow goes up within the vertices, PathExplosion
-    once more than ``cap`` raw paths have been counted, and NotHomogeneous
-    unless the class count from i to i + s is the same for every start
-    vertex i, as it is for every quiver build_quiver makes.
+    InputError for a negative ``cap``, a quiver without vertices or an arrow
+    that does not go up within the vertices, PathExplosion once more than
+    ``cap`` raw paths have been counted, and NotHomogeneous unless the class
+    count from i to i + s is the same for every start vertex i, as it is for
+    every quiver build_quiver makes.
     """
+    if cap < 0:
+        raise InputError(f"raw path cap must be nonnegative, got {cap}")
+    if q.vertex_count < 1:
+        raise InputError("quiver has no vertices")
     if any(not 1 <= a.source < a.target <= q.vertex_count for a in q.arrows):
         raise InputError(f"arrows must go up within vertices 1..{q.vertex_count}")
     arrows = sorted(q.arrows, key=lambda a: a.target)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import sys
 from collections.abc import Iterator
@@ -398,7 +399,12 @@ def _cmd_sweep(args) -> int:
     coeffs = [validate_prime_power(l, args.exponent) for l in primes]
     source = _SOURCE_BY_ALIAS[args.source]
     sets = []
-    for params in _sweep_params(args):
+    candidates = _sweep_params(args)
+    if not coeffs:
+        # No cells: draw one set, which still refuses an invalid --n, and
+        # leave the rest of the grid unwalked.
+        candidates = itertools.islice(candidates, 1)
+    for params in candidates:
         sets.append(params)
         # Checked per set, so an oversized grid is refused before it is built.
         if len(sets) * len(coeffs) > args.max_cells:

@@ -5,6 +5,8 @@ The groups in nonnegative even (resp. odd) degree are the cokernel
 acting on (Z/q)**(n-1); all negative-degree groups vanish.  Kernel and
 cokernel are read off the integral Smith normal form: both are isomorphic
 to the direct sum of Z/gcd(d_i, q) over the divisors d_i (gcd(0, q) = q).
+The divisors of the pipeline matrix depend only on (n, d) and come from a
+(d-1)x(d-1) Toeplitz matrix (``pipeline_divisors``).
 
 Besides the quiver pipeline, M can be taken from the closed-form family
 matrices for n = d with all weights 1, or from the immutable reference
@@ -279,6 +281,49 @@ def pipeline_matrix(params: QuotientParams) -> IntMatrix:
     return theorem_matrix(cartan_matrix(path_counts_gf(params)), params.d)
 
 
+def pipeline_divisors(n: int, d: int) -> tuple[int, ...]:
+    """Smith divisors of pipeline_matrix(p) for every valid p with this n, d.
+
+    Statement.  Let g_n(y) = ((1 - y)**n - 1) / (-y), whose coefficient of
+    y**i is (-1)**i * C(n, i + 1), and let G be the (d-1)x(d-1) lower
+    triangular Toeplitz matrix with first column g_n mod y**(d-1); its
+    diagonal is n and det G = n**(d-1).  The divisors of M are n - d ones
+    followed by the divisors of G: coker M = Z[y]/(y**(d-1), g_n(y)),
+    whatever the weights are.
+
+    Proof sketch.  Write k = n - 1, s = (-1)**(d-1), f(t) = prod_j
+    (1 - t**a_j) = sum_i c_i t**i and N_m for the m x m lower shift, so
+    that Q = C^-1 = f(N_k).
+
+    (a) M C^T = sC - C^T and Q (sC - C^T) Q^T = sQ^T - Q, so M is
+        equivalent to T_k = s f(N_k^T) - f(N_k).
+    (b) As sum_j a_j = n, c_(n-i) = (-1)**d c_i, so the n x n matrix of
+        multiplication by f on R = Z[x]/(x**n - 1) is exactly -T_n.  The
+        all-ones vector lies in its kernel on both sides; adding all
+        columns to the last and all rows to the last row gives
+        T_n ~ diag(T_k, 0).  Hence coker M = tors R/(f).
+    (c) If gcd(a, n) = 1 and ab = 1 mod n, then (1 - x**a) sum_(i<b) x**(ai)
+        = 1 - x in R, so the ideal (f) is ((1 - x)**d): the weights drop
+        out.
+    (d) With y = 1 - x, R/((1 - x)**d) = Z[y]/(y**d, y g_n).  Its quotient
+        by y is Z, and y Z[y]/(y**d, y g_n) = Z[y]/(y**(d-1), g_n) is
+        finite as g_n(0) = n, so that is the torsion; as a Z-module it is
+        the cokernel of G.
+
+    >>> pipeline_divisors(5, 3)
+    (1, 1, 5, 5)
+    """
+    n = operator.index(n)
+    d = operator.index(d)
+    if not 2 <= d <= n:
+        raise InputError(f"need 2 <= d <= n, got n = {n}, d = {d}")
+    g = [(-1) ** i * math.comb(n, i + 1) for i in range(d - 1)]
+    toeplitz = IntMatrix(
+        [[g[i - j] if i >= j else 0 for j in range(d - 1)] for i in range(d - 1)]
+    )
+    return (1,) * (n - d) + smith_normal_form(toeplitz).divisors
+
+
 def _source_gap(params: QuotientParams, source: str) -> Optional[str]:
     """Why ``source`` does not cover ``params``, or None when it does.
 
@@ -346,9 +391,16 @@ def compute_ktheory(
     coeff: PrimePower,
     source: str = "theorem-pipeline",
 ) -> KTheoryReport:
-    """Full report: matrix, divisors, even/odd groups, corollary notes."""
+    """Full report: matrix, divisors, even/odd groups, corollary notes.
+
+    The pipeline source takes its divisors from pipeline_divisors, the
+    other sources from the Smith form of their own matrix.
+    """
     m = matrix_from_source(params, source)
-    divisors = smith_normal_form(m).divisors
+    if source == "theorem-pipeline":
+        divisors = pipeline_divisors(params.n, params.d)
+    else:
+        divisors = smith_normal_form(m).divisors
     group = _groups_from_divisors(divisors, coeff.q)
     report = KTheoryReport(
         params=params,

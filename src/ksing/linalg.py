@@ -45,9 +45,7 @@ class IntMatrix:
     __slots__ = ("entries",)
 
     def __init__(self, rows):
-        entries = tuple(
-            tuple(operator.index(x) for x in row) for row in rows
-        )
+        entries = tuple(tuple(map(operator.index, row)) for row in rows)
         if not entries or not entries[0]:
             raise ValueError("matrix needs at least one row and one column")
         width = len(entries[0])
@@ -227,25 +225,31 @@ def unipotent_inverse(m: IntMatrix) -> IntMatrix:
 def theorem_matrix(c: IntMatrix, d: int) -> IntMatrix:
     """The matrix (-1)**(d-1) * C @ (C^-1)^T - Id for a unipotent C.
 
-    With Q = C^-1, entry (i, j) is sign * sum_t C[i][t] * Q[j][t] - [i == j],
-    summed over the nonzeros of row j of Q only, in one pass.  The cost is
-    O(k^2 * z) for z the most nonzeros in a row of Q: z <= 2^d for a Cartan
-    matrix (see unipotent_inverse), while a dense Q costs O(k^3).
+    With Q = C^-1, column j is sign * sum_t Q[j][t] * (column t of C) minus
+    the j-th unit vector, summed over the nonzeros of row j of Q only;
+    column t of C is zero above row t.  The columns are transposed once at
+    the end.  The cost is O(k^2 * z) for z the most nonzeros in a row of Q:
+    z <= 2^d for a Cartan matrix (see unipotent_inverse), while a dense Q
+    costs O(k^3).
     """
     d = operator.index(d)
     if d < 2:
         raise ValueError(f"dimension d must be at least 2, got {d}")
     sign = 1 if d % 2 == 1 else -1
-    q_rows = [
-        [(t, x) for t, x in enumerate(row) if x]
-        for row in unipotent_inverse(c).entries
-    ]
-    out = []
-    for i, c_row in enumerate(c.entries):
-        row = [sign * sum(c_row[t] * x for t, x in q_row) for q_row in q_rows]
-        row[i] -= 1
-        out.append(row)
-    return IntMatrix(out)
+    k = c.rows
+    c_cols = list(zip(*c.entries))
+    cols = []
+    for j, q_row in enumerate(unipotent_inverse(c).entries):
+        col = [0] * k
+        for t, x in enumerate(q_row):
+            if x:
+                f = sign * x
+                c_col = c_cols[t]
+                for i in range(t, k):
+                    col[i] += f * c_col[i]
+        col[j] -= 1
+        cols.append(col)
+    return IntMatrix(zip(*cols))
 
 
 def determinant(m: IntMatrix) -> int:

@@ -89,6 +89,25 @@ def test_bruteforce_rejects_arrows_that_do_not_go_up(arrows):
     assert type(excinfo.value) is InputError
 
 
+def test_bruteforce_refuses_a_quiver_without_vertices():
+    with pytest.raises(InputError, match="no vertices") as excinfo:
+        path_counts_bruteforce(Quiver(0, (), ()))
+    assert type(excinfo.value) is InputError
+
+
+def test_bruteforce_refuses_a_negative_cap_before_reading_arrows():
+    # Without arrows no raw path is ever counted against the cap, and an
+    # arrow that goes down would be refused for itself: the cap comes first.
+    for q in (
+        build_quiver(validate_params(2, 2, [1, 1])),
+        Quiver(3, (Arrow(2, 1, 1),), ()),
+    ):
+        with pytest.raises(InputError, match="cap must be nonnegative") as excinfo:
+            path_counts_bruteforce(q, cap=-5)
+        assert type(excinfo.value) is InputError
+    assert path_counts_bruteforce(build_quiver(validate_params(2, 2, [1, 1])), cap=0) == [1]
+
+
 def test_bruteforce_cap_is_exact_at_the_raw_path_count():
     # cap counts nonempty raw paths over all start vertices, so the count
     # must pass at cap = R and raise at cap = R - 1; n = 2 has R = 0, and

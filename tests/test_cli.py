@@ -144,6 +144,16 @@ def test_cartan_bruteforce_cap_exit_2(capsys):
     assert "PathExplosion" in err
 
 
+@pytest.mark.parametrize("n, d, weights", [("2", "2", "1,1"), ("5", "3", "1,2,2")])
+def test_cartan_refuses_a_negative_bruteforce_cap(capsys, n, d, weights):
+    code, _, err = run_cli(
+        capsys, "cartan", "--n", n, "--d", d, "--weights", weights,
+        "--check-bruteforce", "--bruteforce-cap", "-5",
+    )
+    assert code == 2
+    assert "cap must be nonnegative" in err
+
+
 def test_matrix_command(capsys):
     code, out, _ = run_cli(
         capsys, "matrix", "--n", "5", "--d", "3", "--weights", "1,2,2",
@@ -339,6 +349,33 @@ def test_sweep_refuses_an_oversized_grid_before_enumerating_it(capsys, monkeypat
     assert "RangeTooLarge" in err
     # Ten cells at two primes are five sets: the sixth passes the cap.
     assert len(drawn) <= 10 // 2 + 1
+
+
+@pytest.mark.parametrize("fmt, header", [
+    ("csv", "n,d,weights,l,nu,q,source,det,divisors,even_group,odd_group,vanishing,corollary\n"),
+    ("json", '{\n  "schema_version": 1,\n  "rows": []\n}\n'),
+], ids=["csv", "json"])
+def test_sweep_without_primes_does_not_walk_the_grid(capsys, monkeypatch, fmt, header):
+    drawn = []
+    iter_weight_tuples = ksing.cli.iter_weight_tuples
+
+    def counting(n, d):
+        for weights in iter_weight_tuples(n, d):
+            drawn.append(weights)
+            yield weights
+
+    monkeypatch.setattr(ksing.cli, "iter_weight_tuples", counting)
+    code, out, _ = run_cli(
+        capsys, "sweep", "--weights-mode", "all", "--n", "2-20", "--primes", "",
+        "--format", fmt,
+    )
+    assert code == 0
+    assert out == header
+    # One set is drawn, so that an invalid --n is still refused.
+    assert len(drawn) <= 1
+    code, _, err = run_cli(capsys, "sweep", "--n", "1-3", "--primes", "")
+    assert code == 2
+    assert "DimensionTooSmall" in err
 
 
 def test_sweep_json_format(capsys):

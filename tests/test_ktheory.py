@@ -31,6 +31,7 @@ from ksing import (
     multiset_number,
     path_counts_gf,
     pfaffian,
+    pipeline_divisors,
     pipeline_matrix,
     smith_normal_form,
     validate_params,
@@ -40,6 +41,7 @@ from ksing import (
 from ksing.ktheory import _family_even, _family_odd
 
 from conftest import (
+    all_valid_params,
     mod_q_annihilator_counts,
     predicted_annihilator_counts,
 )
@@ -407,8 +409,8 @@ def assert_divisor_invariants(params, divisors):
     assert all(d > 0 for d in divisors)
     assert all(b % a == 0 for a, b in zip(divisors, divisors[1:]))
     assert prod(divisors) == abs(determinant(m))
-    # Observed on every set the certificate elimination can reach; the
-    # Smith form computes |det| itself and does not rely on it.
+    # det G = n**(d-1) (see pipeline_divisors); the Smith form of M
+    # computes |det| itself and does not rely on it.
     assert prod(divisors) == params.n ** (params.d - 1)
 
 
@@ -457,3 +459,69 @@ def test_pipeline_determinant_is_the_squared_pfaffian(params):
     # Pf(C - C^T)**2.  The Pfaffian side never builds M.
     c = cartan_matrix(path_counts_gf(params))
     assert determinant(pipeline_matrix(params)) == pfaffian(c - c.transpose()) ** 2
+
+
+# The few-weight sets with n = 61..151 of the wide-lowdim benchmark workload.
+WIDE_SETS = (
+    (61, 2, (1, 60)),
+    (101, 2, (1, 100)),
+    (151, 2, (1, 150)),
+    (81, 3, (1, 40, 40)),
+    (101, 3, (1, 50, 50)),
+    (141, 3, (1, 70, 70)),
+    (77, 4, (1, 2, 3, 71)),
+    (101, 4, (1, 2, 3, 95)),
+    (121, 4, (1, 2, 3, 115)),
+    (91, 5, (1, 2, 3, 4, 81)),
+    (101, 5, (1, 2, 3, 4, 91)),
+    (119, 5, (1, 2, 3, 4, 109)),
+)
+
+
+def assert_pipeline_divisors(params):
+    want = smith_normal_form(pipeline_matrix(params)).divisors
+    assert pipeline_divisors(params.n, params.d) == want
+
+
+def test_pipeline_divisors_on_the_grid():
+    grid = all_valid_params(12)
+    assert len(grid) == 1318
+    for params in grid:
+        m = pipeline_matrix(params)
+        assert pipeline_divisors(params.n, params.d) == smith_normal_form(m).divisors
+        assert determinant(m) == (-1) ** (params.n - 1) * params.n ** (params.d - 1)
+
+
+@pytest.mark.parametrize("n", range(3, 29))
+def test_pipeline_divisors_on_the_unit_weight_family(n):
+    assert_pipeline_divisors(validate_params(n, n, (1,) * n))
+
+
+@pytest.mark.parametrize("n, d, weights", WIDE_SETS)
+def test_pipeline_divisors_on_few_weights_and_large_n(n, d, weights):
+    assert_pipeline_divisors(validate_params(n, d, weights))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(valid_params())
+def test_pipeline_divisors_on_random_parameters(params):
+    assert_pipeline_divisors(params)
+
+
+def test_pipeline_divisors_refuses_d_outside_2_to_n():
+    for n, d in ((5, 1), (3, 4)):
+        with pytest.raises(InputError, match="2 <= d <= n"):
+            pipeline_divisors(n, d)
+
+
+def test_compute_ktheory_takes_pipeline_divisors_for_the_pipeline_only():
+    coeff = validate_prime_power(13, 1)
+    pipeline = compute_ktheory(LOW_DIM_PARAMS, coeff)
+    assert pipeline.divisors == pipeline_divisors(5, 3)
+    # The published matrix is not the pipeline's: its own Smith form gives
+    # det 26, where the closed form gives 25.
+    fixture = compute_ktheory(LOW_DIM_PARAMS, coeff, "paper-fixture")
+    assert fixture.divisors == smith_normal_form(LOW_DIM_PRINTED_MATRIX).divisors
+    assert prod(fixture.divisors) == LOW_DIM_PRINTED_DET == 26
+    family = compute_ktheory(validate_params(7, 7, (1,) * 7), coeff, "closed-form-family")
+    assert family.divisors == smith_normal_form(family_matrix_closed_form(7)).divisors

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
-import itertools
 import json
+import os
 import sys
 from collections.abc import Iterator
 from multiprocessing import Pool
@@ -63,12 +62,13 @@ def _parse_int_list(text: str) -> list[int]:
         part = part.strip()
         try:
             dash = part.find("-", 1)  # position 0 would be a sign
-            if dash > 0:
-                values.update(range(int(part[:dash]), int(part[dash + 1:]) + 1))
-            else:
-                values.add(int(part))
+            bounds = (part[:dash], part[dash + 1:]) if dash > 0 else (part, part)
+            lo, hi = map(int, bounds)
         except ValueError:
             raise InputError(f"cannot parse integer list entry {part!r}") from None
+        if lo > hi:
+            raise InputError(f"range {part!r} runs downwards; write it as {hi}-{lo}")
+        values.update(range(lo, hi + 1))
     return sorted(values)
 
 
@@ -379,18 +379,25 @@ def _sweep_set(task) -> list[dict]:
 
 
 def _sweep_params(args) -> Iterator[QuotientParams]:
+    """The sets the sweep prints, in (n, d, weights) order.
+
+    Sources other than the pipeline cover only n = d or the fixture's (n, d),
+    so no weights are drawn for other pairs.
+    """
     n_values = _parse_int_list(args.n)
+    source = _SOURCE_BY_ALIAS[args.source]
     if args.weights_mode == "ones":
         sets = (validate_params(n, n, (1,) * n) for n in n_values)
     else:
         d_values = _parse_int_list(args.d) if args.d else None
+        fixture = (ktheory.LOW_DIM_PARAMS.n, ktheory.LOW_DIM_PARAMS.d)
         sets = (
             QuotientParams(n, d, weights)
             for n in n_values
             for d in (d_values if d_values is not None else range(2, n + 1))
+            if source == "theorem-pipeline" or d == n or (n, d) == fixture
             for weights in iter_weight_tuples(n, d)
         )
-    source = _SOURCE_BY_ALIAS[args.source]
     return (p for p in sets if ktheory._source_gap(p, source) is None)
 
 
@@ -398,24 +405,21 @@ def _cmd_sweep(args) -> int:
     primes = _parse_int_list(args.primes)
     coeffs = [validate_prime_power(l, args.exponent) for l in primes]
     source = _SOURCE_BY_ALIAS[args.source]
-    sets = []
-    candidates = _sweep_params(args)
-    if not coeffs:
-        # No cells: draw one set, which still refuses an invalid --n, and
-        # leave the rest of the grid unwalked.
-        candidates = itertools.islice(candidates, 1)
-    for params in candidates:
-        sets.append(params)
+    tasks = []
+    for params in _sweep_params(args):
+        if not coeffs:
+            break  # no cells; the first set was drawn to refuse an invalid --n
+        tasks.append((params, coeffs, source))
         # Checked per set, so an oversized grid is refused before it is built.
-        if len(sets) * len(coeffs) > args.max_cells:
+        if len(tasks) * len(coeffs) > args.max_cells:
             raise RangeTooLarge(
                 f"sweep grid has more than {args.max_cells} cells;"
                 f" raise --max-cells to proceed"
             )
-    sets.sort(key=lambda p: (p.n, p.d, p.weights))
-    tasks = [(params, coeffs, source) for params in sets] if coeffs else []
-    if args.jobs > 1 and tasks:
-        with Pool(args.jobs) as pool:
+    # A pool starts all its workers at once: start no more than can be used.
+    jobs = min(args.jobs, len(tasks), os.cpu_count() or 1)
+    if jobs > 1:
+        with Pool(jobs) as pool:
             groups = pool.map(_sweep_set, tasks)
     else:
         groups = [_sweep_set(task) for task in tasks]
@@ -423,17 +427,12 @@ def _cmd_sweep(args) -> int:
     if args.format == "json":
         _emit_json({"schema_version": 1, "rows": rows})
         return 0
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
+    writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(_SWEEP_COLUMNS)
-    for row in rows:
-        writer.writerow(
-            [
-                str(row[col]).lower() if col == "vanishing" else row[col]
-                for col in _SWEEP_COLUMNS
-            ]
-        )
-    sys.stdout.write(buffer.getvalue())
+    writer.writerows(
+        [str(row[c]).lower() if c == "vanishing" else row[c] for c in _SWEEP_COLUMNS]
+        for row in rows
+    )
     return 0
 
 

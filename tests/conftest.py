@@ -147,13 +147,15 @@ def mod_q_annihilator_counts(m: IntMatrix, q: int) -> dict[int, tuple[int, int]]
     mm = np.array([[x % q for x in row] for row in m.entries], dtype=np.int64)
     images = vecs @ mm.T % q
     kernel_mask = (images == 0).all(axis=1)
-    image_keys = np.unique(images @ powers)
+    in_image = np.zeros(q**k, dtype=bool)
+    in_image[images @ powers] = True
+    image_size = int(np.count_nonzero(in_image))
     out = {}
     for e, (killed_mask, scaled_keys) in per_divisor.items():
         ker = int(np.count_nonzero(kernel_mask & killed_mask))
-        hits = int(np.count_nonzero(np.isin(scaled_keys, image_keys)))
-        assert hits % len(image_keys) == 0
-        out[e] = (ker, hits // len(image_keys))
+        hits = int(np.count_nonzero(in_image[scaled_keys]))
+        assert hits % image_size == 0
+        out[e] = (ker, hits // image_size)
     return out
 
 

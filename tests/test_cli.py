@@ -351,6 +351,85 @@ def test_sweep_refuses_an_oversized_grid_before_enumerating_it(capsys, monkeypat
     assert len(drawn) <= 10 // 2 + 1
 
 
+@pytest.mark.parametrize("alias, rows", [("family", 20), ("fixture", 1)])
+def test_sweep_draws_weights_only_for_pairs_a_source_can_cover(
+    capsys, monkeypatch, alias, rows
+):
+    drawn = []
+    iter_weight_tuples = ksing.cli.iter_weight_tuples
+
+    def counting(n, d):
+        for weights in iter_weight_tuples(n, d):
+            drawn.append(weights)
+            yield weights
+
+    monkeypatch.setattr(ksing.cli, "iter_weight_tuples", counting)
+    code, out, _ = run_cli(
+        capsys, "sweep", "--weights-mode", "all", "--n", "2-22", "--primes", "2",
+        "--source", alias,
+    )
+    assert code == 0
+    assert len(list(csv.reader(io.StringIO(out)))) == 1 + rows
+    # n = 2..22 holds 522,350 weight tuples; only the pairs n = d and the
+    # fixture's (5, 3) are walked.
+    fixture_pair = [(1, 1, 3), (1, 2, 2), (1, 3, 1), (2, 1, 2), (2, 2, 1), (3, 1, 1)]
+    assert sorted(drawn) == sorted([(1,) * n for n in range(2, 23)] + fixture_pair)
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_rows_come_out_in_grid_order(capsys, jobs):
+    code, out, _ = run_cli(
+        capsys, "sweep", "--weights-mode", "all", "--n", "8,5-7", "--d", "5,3",
+        "--primes", "3,2", "--jobs", jobs,
+    )
+    assert code == 0
+    keys = [
+        (int(row[0]), int(row[1]), tuple(map(int, row[2].split(","))), int(row[3]))
+        for row in list(csv.reader(io.StringIO(out)))[1:]
+    ]
+    assert {key[1] for key in keys} == {3, 5}
+    assert keys == sorted(keys)
+
+
+def test_sweep_starts_no_more_workers_than_sets_or_cpus(capsys, monkeypatch):
+    asked = []
+
+    class FakePool:
+        def __init__(self, processes):
+            asked.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, func, tasks):
+            return [func(task) for task in tasks]
+
+    monkeypatch.setattr(ksing.cli, "Pool", FakePool)
+    args = ("sweep", "--weights-mode", "ones", "--n", "3-5", "--primes", "2,3")
+    _, serial, _ = run_cli(capsys, *args)
+    # Three sets: the pool is capped at the sets, then at the CPUs.
+    for cpus, expected in ((64, [3]), (2, [2]), (1, [])):
+        monkeypatch.setattr(ksing.cli.os, "cpu_count", lambda: cpus)
+        asked.clear()
+        assert run_cli(capsys, *args, "--jobs", "500")[:2] == (0, serial)
+        assert asked == expected
+    # One set needs no pool at all.
+    monkeypatch.setattr(ksing.cli.os, "cpu_count", lambda: 64)
+    asked.clear()
+    assert run_cli(capsys, "sweep", "--n", "4", "--primes", "2", "--jobs", "500")[0] == 0
+    assert asked == []
+
+
+@pytest.mark.parametrize("n, primes", [("12-2", "2"), ("3-5", "7-3")])
+def test_sweep_refuses_a_descending_range(capsys, n, primes):
+    code, out, err = run_cli(capsys, "sweep", "--n", n, "--primes", primes)
+    assert (code, out) == (2, "")
+    assert "InputError" in err and "runs downwards" in err
+
+
 @pytest.mark.parametrize("fmt, header", [
     ("csv", "n,d,weights,l,nu,q,source,det,divisors,even_group,odd_group,vanishing,corollary\n"),
     ("json", '{\n  "schema_version": 1,\n  "rows": []\n}\n'),

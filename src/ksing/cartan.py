@@ -92,7 +92,4 @@ def cartan_matrix(counts: list[int]) -> IntMatrix:
     """Lower-triangular Toeplitz matrix with entry (i, j) = P(i - j)."""
     if not counts or counts[0] != 1:
         raise ValueError("path counts must start with P(0) = 1")
-    k = len(counts)
-    return IntMatrix(
-        [[counts[i - j] if i >= j else 0 for j in range(k)] for i in range(k)]
-    )
+    return IntMatrix.lower_toeplitz(counts)

@@ -15,6 +15,7 @@ import json
 import os
 import sys
 from collections.abc import Iterator
+from itertools import chain
 from multiprocessing import Pool
 
 from . import ktheory
@@ -52,9 +53,13 @@ def _parse_weights(text: str) -> tuple[int, ...]:
         raise InputError(f"cannot parse weights {text!r}: {exc}") from None
 
 
-def _parse_int_list(text: str) -> list[int]:
-    """Parse '3,5,7' or '2-6' or a mix; returns sorted unique values."""
-    values: set[int] = set()
+def _parse_int_list(text: str) -> list[range]:
+    """Parse '3,5,7' or '2-6' or a mix into sorted, disjoint ranges.
+
+    Every entry is checked here, but no range is enumerated: chain the
+    ranges to walk the values in ascending order, each once.
+    """
+    pairs = []
     text = text.strip()
     if not text:
         return []
@@ -68,8 +73,14 @@ def _parse_int_list(text: str) -> list[int]:
             raise InputError(f"cannot parse integer list entry {part!r}") from None
         if lo > hi:
             raise InputError(f"range {part!r} runs downwards; write it as {hi}-{lo}")
-        values.update(range(lo, hi + 1))
-    return sorted(values)
+        pairs.append((lo, hi))
+    ranges: list[range] = []
+    for lo, hi in sorted(pairs):
+        if ranges and lo <= ranges[-1].stop:
+            lo, hi = ranges[-1].start, max(hi, ranges[-1].stop - 1)
+            ranges.pop()
+        ranges.append(range(lo, hi + 1))
+    return ranges
 
 
 def _params_from_args(args) -> QuotientParams:
@@ -384,17 +395,19 @@ def _sweep_params(args) -> Iterator[QuotientParams]:
     Sources other than the pipeline cover only n = d or the fixture's (n, d),
     so no weights are drawn for other pairs.
     """
-    n_values = _parse_int_list(args.n)
+    n_values = chain.from_iterable(_parse_int_list(args.n))
     source = _SOURCE_BY_ALIAS[args.source]
     if args.weights_mode == "ones":
         sets = (validate_params(n, n, (1,) * n) for n in n_values)
     else:
-        d_values = _parse_int_list(args.d) if args.d else None
+        d_ranges = _parse_int_list(args.d) if args.d else None
         fixture = (ktheory.LOW_DIM_PARAMS.n, ktheory.LOW_DIM_PARAMS.d)
         sets = (
             QuotientParams(n, d, weights)
             for n in n_values
-            for d in (d_values if d_values is not None else range(2, n + 1))
+            for d in chain.from_iterable(
+                d_ranges if d_ranges is not None else [range(2, n + 1)]
+            )
             if source == "theorem-pipeline" or d == n or (n, d) == fixture
             for weights in iter_weight_tuples(n, d)
         )
@@ -402,7 +415,7 @@ def _sweep_params(args) -> Iterator[QuotientParams]:
 
 
 def _cmd_sweep(args) -> int:
-    primes = _parse_int_list(args.primes)
+    primes = chain.from_iterable(_parse_int_list(args.primes))
     coeffs = [validate_prime_power(l, args.exponent) for l in primes]
     source = _SOURCE_BY_ALIAS[args.source]
     tasks = []

@@ -318,10 +318,7 @@ def pipeline_divisors(n: int, d: int) -> tuple[int, ...]:
     if not 2 <= d <= n:
         raise InputError(f"need 2 <= d <= n, got n = {n}, d = {d}")
     g = [(-1) ** i * math.comb(n, i + 1) for i in range(d - 1)]
-    toeplitz = IntMatrix(
-        [[g[i - j] if i >= j else 0 for j in range(d - 1)] for i in range(d - 1)]
-    )
-    return (1,) * (n - d) + smith_normal_form(toeplitz).divisors
+    return (1,) * (n - d) + smith_normal_form(IntMatrix.lower_toeplitz(g)).divisors
 
 
 def _source_gap(params: QuotientParams, source: str) -> Optional[str]:

@@ -6,10 +6,14 @@ Smith normal form with unimodular transformation certificates.  There is
 no floating point and no fixed-width fast path anywhere.
 
 The unipotent inverse and the theorem matrix C @ (C^-1)^T work only where
-the inverse is nonzero, so they cost O(k^2 * z) for z the most nonzeros in
-a row or column of C^-1.  For a Cartan matrix C^-1 is lower Toeplitz with
-first column the coefficients of prod_j (1 - t^a_j), so z <= 2^d however
-large n is; a dense inverse costs O(k^3), as a dense product does.
+the inverse is nonzero.  A Cartan matrix C is lower Toeplitz (each row is
+the row above shifted right by one), and so is C^-1, with first column the
+coefficients of prod_j (1 - t^a_j): at most z <= 2^d nonzeros however large
+n is.  For such C the inverse solves its first column only, in O(k * z),
+and each row of C @ (C^-1)^T is the row above shifted right plus z
+products, so both cost O(k^2) list copying and O(k * z) multiplications.
+Any other unipotent C takes the general route, O(k^2 * z) for z the most
+nonzeros in a row or column of C^-1, and O(k^3) for a dense inverse.
 
 Smith divisors of a square nonsingular matrix are computed with bounded
 entries: +-1 pivots over Z, taken from the shortest rows, then elimination
@@ -60,6 +64,17 @@ class IntMatrix:
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
         return cls([[0] * cols for _ in range(rows)])
+
+    @classmethod
+    def lower_toeplitz(cls, col) -> "IntMatrix":
+        """Lower-triangular Toeplitz matrix with entry (i, j) = col[i - j].
+
+        >>> IntMatrix.lower_toeplitz([1, 1, 3, 3]).to_lists()
+        [[1, 0, 0, 0], [1, 1, 0, 0], [3, 1, 1, 0], [3, 3, 1, 1]]
+        """
+        col = list(col)
+        k = len(col)
+        return cls([col[i::-1] + [0] * (k - 1 - i) for i in range(k)])
 
     @property
     def rows(self) -> int:
@@ -185,61 +200,88 @@ class SnfDecomposition:
         return self._built()[2]
 
 
+def _is_toeplitz(e) -> bool:
+    """Whether every row of e is the row above shifted right by one."""
+    return all(row[1:] == above[:-1] for above, row in zip(e, e[1:]))
+
+
 def unipotent_inverse(m: IntMatrix) -> IntMatrix:
     """Exact integer inverse of a lower-triangular unit-diagonal matrix.
 
     Forward substitution, column by column: entry (i, j) of the inverse is
     minus the sum of m[i][t] * inv[t][j] over the nonzeros inv[t][j] found
-    so far in column j.  That costs O(k^2 * z) for z the most nonzeros in a
-    column of the inverse, and O(k^3) for a dense inverse.  The inverse of a
-    Cartan matrix is lower Toeplitz with first column the coefficients of
-    prod_j (1 - t^a_j), a product of d binomials, so there z <= 2^d.  The
-    result is again lower unipotent and m @ result == identity holds
-    exactly.
+    so far in column j.  A column costs O(k * z) for z its nonzeros.  When
+    m is lower Toeplitz (row i of m is row i - 1 shifted right, checked
+    with one slice comparison per row) so is the inverse, and only column
+    0 is solved: O(k * z) in all.  A Cartan matrix is such an m, and its
+    inverse's first column holds the coefficients of prod_j (1 - t^a_j),
+    a product of d binomials, so z <= 2^d.  Any other m has all k columns
+    solved: O(k^2 * z), and O(k^3) for a dense inverse.  The result is
+    again lower unipotent and m @ result == identity holds exactly.
     """
     if not m.is_square:
         raise NotUnipotent(f"matrix is {m.rows}x{m.cols}, not square")
     k = m.rows
     e = m.entries
-    for i in range(k):
-        if e[i][i] != 1:
-            raise NotUnipotent(f"diagonal entry ({i}, {i}) is {e[i][i]}, not 1")
-        for j in range(i + 1, k):
-            if e[i][j] != 0:
-                raise NotUnipotent(
-                    f"entry ({i}, {j}) above the diagonal is {e[i][j]}"
-                )
-    inv = [[0] * k for _ in range(k)]
-    for j in range(k):
-        inv[j][j] = 1
+    for i, row in enumerate(e):
+        if row[i] != 1:
+            raise NotUnipotent(f"diagonal entry ({i}, {i}) is {row[i]}, not 1")
+        if any(row[i + 1:]):
+            j = next(j for j in range(i + 1, k) if row[j])
+            raise NotUnipotent(f"entry ({i}, {j}) above the diagonal is {row[j]}")
+    toeplitz = _is_toeplitz(e)
+    cols = []
+    for j in range(1 if toeplitz else k):
+        col = [0] * k
+        col[j] = 1
         nonzeros = [(j, 1)]
         for i in range(j + 1, k):
             row = e[i]
             x = -sum(row[t] * y for t, y in nonzeros)
             if x:
-                inv[i][j] = x
+                col[i] = x
                 nonzeros.append((i, x))
-    return IntMatrix(inv)
+        cols.append(col)
+    if toeplitz:
+        return IntMatrix.lower_toeplitz(cols[0])
+    return IntMatrix(zip(*cols))
 
 
 def theorem_matrix(c: IntMatrix, d: int) -> IntMatrix:
     """The matrix (-1)**(d-1) * C @ (C^-1)^T - Id for a unipotent C.
 
-    With Q = C^-1, column j is sign * sum_t Q[j][t] * (column t of C) minus
-    the j-th unit vector, summed over the nonzeros of row j of Q only;
-    column t of C is zero above row t.  The columns are transposed once at
-    the end.  The cost is O(k^2 * z) for z the most nonzeros in a row of Q:
-    z <= 2^d for a Cartan matrix (see unipotent_inverse), while a dense Q
-    costs O(k^3).
+    Write Q = C^-1.  When C is lower Toeplitz with first column p (checked
+    as in unipotent_inverse), so is Q, with first column q, and X = C @ Q^T
+    has X[i][j] = X[i-1][j-1] + p_i * q_j; Id obeys the same recurrence
+    with 1 in place of p_0 * q_0.  So row i of M is row i - 1 shifted right
+    by one plus sign * p_i times the z nonzeros of q: O(k^2) list copying
+    and O(k * z) multiplications, with z <= 2^d for a Cartan matrix.  Any
+    other C takes the general route: column j is sign * sum_t Q[j][t] *
+    (column t of C) minus the j-th unit vector, summed over the nonzeros of
+    row j of Q only, and the columns are transposed once at the end.  That
+    costs O(k^2 * z) for z the most nonzeros in a row of Q, and O(k^3) for
+    a dense Q.
     """
     d = operator.index(d)
     if d < 2:
         raise ValueError(f"dimension d must be at least 2, got {d}")
     sign = 1 if d % 2 == 1 else -1
     k = c.rows
+    q = unipotent_inverse(c)
+    if _is_toeplitz(c.entries):
+        q_nonzeros = [(j, sign * row[0]) for j, row in enumerate(q.entries) if row[0]]
+        rows = []
+        row = [-1] + [0] * (k - 1)
+        for c_row in c.entries:
+            p = c_row[0]
+            for j, x in q_nonzeros:
+                row[j] += p * x
+            rows.append(row)
+            row = [0] + row[:-1]
+        return IntMatrix(rows)
     c_cols = list(zip(*c.entries))
     cols = []
-    for j, q_row in enumerate(unipotent_inverse(c).entries):
+    for j, q_row in enumerate(q.entries):
         col = [0] * k
         for t, x in enumerate(q_row):
             if x:

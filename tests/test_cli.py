@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import sys
+import tracemalloc
 import typing
 
 import pytest
@@ -349,6 +350,28 @@ def test_sweep_refuses_an_oversized_grid_before_enumerating_it(capsys, monkeypat
     assert "RangeTooLarge" in err
     # Ten cells at two primes are five sets: the sixth passes the cap.
     assert len(drawn) <= 10 // 2 + 1
+
+
+def test_sweep_refuses_a_long_range_without_building_it(capsys):
+    # --n is walked lazily, so the cap stops it after a few sets; holding
+    # all 3,000,000 values at once took about 280 MB.
+    tracemalloc.start()
+    try:
+        code, _, err = run_cli(
+            capsys, "sweep", "--weights-mode", "ones", "--n", "2-3000000",
+            "--primes", "2", "--max-cells", "10",
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "RangeTooLarge" in err
+    assert peak < 10 * 2**20
+
+
+def test_parse_int_list_merges_into_sorted_ranges():
+    assert ksing.cli._parse_int_list(" 9, 2-4,3-6 ,8,5") == [range(2, 7), range(8, 10)]
+    assert ksing.cli._parse_int_list("") == []
 
 
 @pytest.mark.parametrize("alias, rows", [("family", 20), ("fixture", 1)])

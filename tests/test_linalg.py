@@ -17,7 +17,7 @@ from ksing import (
     unipotent_inverse,
     validate_params,
 )
-from ksing.linalg import _unit_pivot_block
+from ksing.linalg import _is_toeplitz, _unit_pivot_block
 
 from conftest import (
     all_valid_params,
@@ -129,6 +129,20 @@ class TestUnipotentInverse:
         with pytest.raises(NotUnipotent):
             unipotent_inverse(IntMatrix([[1, 5], [0, 1]]))
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([[1, 0, 0], [0, 1, 0]], "matrix is 2x3, not square"),
+            ([[1, 0], [4, 2]], "diagonal entry (1, 1) is 2, not 1"),
+            ([[1, 0, 0], [0, 1, 7], [0, 0, 1]], "entry (1, 2) above the diagonal is 7"),
+            ([[1, 0, 5], [0, 1, 0], [0, 0, 1]], "entry (0, 2) above the diagonal is 5"),
+        ],
+    )
+    def test_rejection_messages(self, rows, message):
+        with pytest.raises(NotUnipotent) as info:
+            unipotent_inverse(IntMatrix(rows))
+        assert str(info.value) == message
+
 
 class TestAgainstDenseReference:
     """The zero-skipping inverse and one-pass M against the dense route."""
@@ -150,11 +164,43 @@ class TestAgainstDenseReference:
             (81, 3, (1, 40, 40)),
             (77, 4, (1, 2, 3, 71)),
             (91, 5, (1, 2, 3, 4, 81)),
+            # The rest of the wide-lowdim benchmark sets, up to k = 150.
+            (101, 2, (1, 100)),
+            (151, 2, (1, 150)),
+            (101, 3, (1, 50, 50)),
+            (141, 3, (1, 70, 70)),
+            (101, 4, (1, 2, 3, 95)),
+            (121, 4, (1, 2, 3, 115)),
+            (101, 5, (1, 2, 3, 4, 91)),
+            (119, 5, (1, 2, 3, 4, 109)),
         ],
     )
     def test_family_and_wide_sets(self, n, d, weights):
         params = validate_params(n, d, weights)
         self.assert_matches(cartan_matrix(path_counts_gf(params)), d)
+
+    def test_random_toeplitz_with_dense_inverse(self):
+        # A dense first column gives a dense inverse, so z = k.
+        rng = random.Random(29)
+        for _ in range(40):
+            k = rng.randint(1, 40)
+            col = [1] + [rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(k - 1)]
+            self.assert_matches(IntMatrix.lower_toeplitz(col), rng.randint(2, 7))
+
+    def test_grid_cartan_with_one_entry_changed(self):
+        # Off the corner (k - 1, 0), the only entry of its diagonal, the
+        # change leaves C no longer Toeplitz, so the general route runs.
+        rng = random.Random(31)
+        for params in all_valid_params(12):
+            rows = cartan_matrix(path_counts_gf(params)).to_lists()
+            k = len(rows)
+            if k < 3:
+                continue
+            i = rng.randrange(1, k)
+            rows[i][rng.randrange(max(0, i - k + 2), i)] += rng.choice([-1, 1])
+            c = IntMatrix(rows)
+            assert not _is_toeplitz(c.entries)
+            self.assert_matches(c, params.d)
 
     @pytest.mark.parametrize("bound", [1, 9])
     def test_random_unipotent(self, bound):

@@ -3,6 +3,7 @@
 import ast
 import doctest
 import importlib
+import sys
 from pathlib import Path
 
 import ksing
@@ -30,3 +31,17 @@ def test_docstring_examples_pass():
     ] + [doctest.testmod(ksing)]
     assert sum(r.failed for r in results) == 0
     assert sum(r.attempted for r in results) >= 5
+
+
+def test_library_imports_only_the_standard_library():
+    # pyproject.toml declares no dependencies; numpy and hypothesis serve
+    # the tests only.
+    imported = set()
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update((path.name, a.name.partition(".")[0]) for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add((path.name, node.module.partition(".")[0]))
+    assert {"argparse", "math"} <= {top for _, top in imported}
+    assert sorted(i for i in imported if i[1] not in sys.stdlib_module_names) == []

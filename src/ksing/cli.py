@@ -364,11 +364,15 @@ def _sweep_set(task) -> list[dict]:
     """The rows of one parameter set, one per coefficient.
 
     M does not depend on the coefficient, so its determinant is taken once
-    per set; the groups are computed per coefficient.
+    per set, in closed form for the pipeline (see
+    ktheory.pipeline_divisors); the groups are computed per coefficient.
     """
     params, coeffs, source = task
     reports = [ktheory.compute_ktheory(params, coeff, source) for coeff in coeffs]
-    det = determinant(reports[0].matrix)
+    if source == "theorem-pipeline":
+        det = (-1) ** (params.n - 1) * params.n ** (params.d - 1)
+    else:
+        det = determinant(reports[0].matrix)
     return [
         {
             "n": params.n,

@@ -309,6 +309,12 @@ def pipeline_divisors(n: int, d: int) -> tuple[int, ...]:
         by y is Z, and y Z[y]/(y**d, y g_n) = Z[y]/(y**(d-1), g_n) is
         finite as g_n(0) = n, so that is the torsion; as a Z-module it is
         the cokernel of G.
+    (e) Sign: det M = det T_k by (a), as det C = det Q = 1.  By (b) T_n
+        has eigenvalues -f(zeta) for zeta**n = 1, nonzero unless zeta = 1
+        as every gcd(a_j, n) = 1, so the all-ones vector spans both its
+        kernels and its (n, n) cofactor det T_k is the product of the
+        nonzero eigenvalues over n.  As prod_(zeta != 1) (1 - zeta**a) = n
+        for gcd(a, n) = 1, det M = (-1)**(n-1) * n**(d-1).
 
     >>> pipeline_divisors(5, 3)
     (1, 1, 5, 5)

@@ -5,15 +5,21 @@ transposes, unipotent-triangular inverses, determinants, Pfaffians, and
 Smith normal form with unimodular transformation certificates.  There is
 no floating point and no fixed-width fast path anywhere.
 
+Entries are checked where they come in, by ``IntMatrix(rows)`` and
+``IntMatrix.lower_toeplitz(col)``; rows built here from checked matrices
+are wrapped by ``_unchecked`` without a second pass over their entries.
+
 The unipotent inverse and the theorem matrix C @ (C^-1)^T work only where
 the inverse is nonzero.  A Cartan matrix C is lower Toeplitz (each row is
 the row above shifted right by one), and so is C^-1, with first column the
 coefficients of prod_j (1 - t^a_j): at most z <= 2^d nonzeros however large
-n is.  For such C the inverse solves its first column only, in O(k * z),
-and each row of C @ (C^-1)^T is the row above shifted right plus z
-products, so both cost O(k^2) list copying and O(k * z) multiplications.
-Any other unipotent C takes the general route, O(k^2 * z) for z the most
-nonzeros in a row or column of C^-1, and O(k^3) for a dense inverse.
+n is.  ``lower_toeplitz`` records its column as ``first_column``, so the
+structure is known, not detected: the inverse solves its first column
+only, in O(k * z), and each row of C @ (C^-1)^T is the row above shifted
+right plus z products, so both cost O(k^2) list copying and O(k * z)
+multiplications.  A matrix without a recorded column takes the general
+route, O(k^2 * z) for z the most nonzeros in a row or column of C^-1, and
+O(k^3) for a dense inverse.
 
 Smith divisors of a square nonsingular matrix are computed with bounded
 entries: +-1 pivots over Z, taken from the shortest rows, then elimination
@@ -44,9 +50,12 @@ class OddSize(ValueError):
 
 
 class IntMatrix:
-    """Immutable dense integer matrix stored row-major as nested tuples."""
+    """Immutable dense integer matrix stored row-major as nested tuples.
 
-    __slots__ = ("entries",)
+    ``first_column`` is recorded by ``lower_toeplitz``, else None.
+    """
+
+    __slots__ = ("entries", "first_column")
 
     def __init__(self, rows):
         entries = tuple(tuple(map(operator.index, row)) for row in rows)
@@ -56,6 +65,7 @@ class IntMatrix:
         if any(len(row) != width for row in entries):
             raise ValueError("matrix rows have unequal lengths")
         self.entries = entries
+        self.first_column = None
 
     @classmethod
     def identity(cls, k: int) -> "IntMatrix":
@@ -72,9 +82,13 @@ class IntMatrix:
         >>> IntMatrix.lower_toeplitz([1, 1, 3, 3]).to_lists()
         [[1, 0, 0, 0], [1, 1, 0, 0], [3, 1, 1, 0], [3, 3, 1, 1]]
         """
-        col = list(col)
+        col = tuple(map(operator.index, col))
         k = len(col)
-        return cls([col[i::-1] + [0] * (k - 1 - i) for i in range(k)])
+        if not k:
+            raise ValueError("matrix needs at least one row and one column")
+        # Row i is w[k - 1 - i : 2k - 1 - i].
+        w = col[::-1] + (0,) * (k - 1)
+        return _unchecked(tuple([w[s : s + k] for s in range(k - 1, -1, -1)]), col)
 
     @property
     def rows(self) -> int:
@@ -107,7 +121,7 @@ class IntMatrix:
         return [list(row) for row in self.entries]
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(list(zip(*self.entries)))
+        return _unchecked(tuple(zip(*self.entries)))
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if not isinstance(other, IntMatrix):
@@ -118,41 +132,41 @@ class IntMatrix:
                 f" {other.rows}x{other.cols}"
             )
         cols = list(zip(*other.entries))
-        return IntMatrix(
-            [
-                [sum(a * b for a, b in zip(row, col)) for col in cols]
+        return _unchecked(
+            tuple(
+                tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
                 for row in self.entries
-            ]
+            )
         )
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         if not isinstance(other, IntMatrix):
             return NotImplemented
         self._require_same_shape(other)
-        return IntMatrix(
-            [
-                [a + b for a, b in zip(r1, r2)]
+        return _unchecked(
+            tuple(
+                tuple(map(operator.add, r1, r2))
                 for r1, r2 in zip(self.entries, other.entries)
-            ]
+            )
         )
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         if not isinstance(other, IntMatrix):
             return NotImplemented
         self._require_same_shape(other)
-        return IntMatrix(
-            [
-                [a - b for a, b in zip(r1, r2)]
+        return _unchecked(
+            tuple(
+                tuple(map(operator.sub, r1, r2))
                 for r1, r2 in zip(self.entries, other.entries)
-            ]
+            )
         )
 
     def __neg__(self) -> "IntMatrix":
-        return IntMatrix([[-x for x in row] for row in self.entries])
+        return _unchecked(tuple(tuple(map(operator.neg, row)) for row in self.entries))
 
     def __mul__(self, scalar) -> "IntMatrix":
         scalar = operator.index(scalar)
-        return IntMatrix([[scalar * x for x in row] for row in self.entries])
+        return _unchecked(tuple(tuple(scalar * x for x in row) for row in self.entries))
 
     __rmul__ = __mul__
 
@@ -162,6 +176,14 @@ class IntMatrix:
                 f"shape mismatch: {self.rows}x{self.cols} vs"
                 f" {other.rows}x{other.cols}"
             )
+
+
+def _unchecked(entries: tuple, first_column=None) -> IntMatrix:
+    """An IntMatrix of tuple rows built here from checked ones, unchecked."""
+    m = object.__new__(IntMatrix)
+    m.entries = entries
+    m.first_column = first_column
+    return m
 
 
 class SnfDecomposition:
@@ -200,67 +222,68 @@ class SnfDecomposition:
         return self._built()[2]
 
 
-def _is_toeplitz(e) -> bool:
-    """Whether every row of e is the row above shifted right by one."""
-    return all(row[1:] == above[:-1] for above, row in zip(e, e[1:]))
-
-
 def unipotent_inverse(m: IntMatrix) -> IntMatrix:
     """Exact integer inverse of a lower-triangular unit-diagonal matrix.
 
     Forward substitution, column by column: entry (i, j) of the inverse is
     minus the sum of m[i][t] * inv[t][j] over the nonzeros inv[t][j] found
     so far in column j.  A column costs O(k * z) for z its nonzeros.  When
-    m is lower Toeplitz (row i of m is row i - 1 shifted right, checked
-    with one slice comparison per row) so is the inverse, and only column
-    0 is solved: O(k * z) in all.  A Cartan matrix is such an m, and its
+    m records its first column p (see lower_toeplitz), only p[0] == 1 needs
+    checking, and the inverse is lower Toeplitz too, so only column 0 is
+    solved: O(k * z) in all.  A Cartan matrix is such an m, and its
     inverse's first column holds the coefficients of prod_j (1 - t^a_j),
-    a product of d binomials, so z <= 2^d.  Any other m has all k columns
-    solved: O(k^2 * z), and O(k^3) for a dense inverse.  The result is
-    again lower unipotent and m @ result == identity holds exactly.
+    a product of d binomials, so z <= 2^d.  Any other m has each row
+    checked and all k columns solved: O(k^2 * z), and O(k^3) for a dense
+    inverse.  The result is again lower unipotent and m @ result ==
+    identity holds exactly.
     """
+    p = m.first_column
+    if p is not None and p[0] != 1:
+        raise NotUnipotent(f"diagonal entry (0, 0) is {p[0]}, not 1")
     if not m.is_square:
         raise NotUnipotent(f"matrix is {m.rows}x{m.cols}, not square")
     k = m.rows
     e = m.entries
-    for i, row in enumerate(e):
-        if row[i] != 1:
-            raise NotUnipotent(f"diagonal entry ({i}, {i}) is {row[i]}, not 1")
-        if any(row[i + 1:]):
-            j = next(j for j in range(i + 1, k) if row[j])
-            raise NotUnipotent(f"entry ({i}, {j}) above the diagonal is {row[j]}")
-    toeplitz = _is_toeplitz(e)
+    if p is None:
+        for i, row in enumerate(e):
+            if row[i] != 1:
+                raise NotUnipotent(f"diagonal entry ({i}, {i}) is {row[i]}, not 1")
+            if any(row[i + 1:]):
+                j = next(j for j in range(i + 1, k) if row[j])
+                raise NotUnipotent(f"entry ({i}, {j}) above the diagonal is {row[j]}")
     cols = []
-    for j in range(1 if toeplitz else k):
+    for j in range(k if p is None else 1):
         col = [0] * k
         col[j] = 1
         nonzeros = [(j, 1)]
         for i in range(j + 1, k):
             row = e[i]
-            x = -sum(row[t] * y for t, y in nonzeros)
+            x = 0
+            for t, y in nonzeros:
+                x -= row[t] * y
             if x:
                 col[i] = x
                 nonzeros.append((i, x))
         cols.append(col)
-    if toeplitz:
+    if p is not None:
         return IntMatrix.lower_toeplitz(cols[0])
-    return IntMatrix(zip(*cols))
+    return _unchecked(tuple(zip(*cols)))
 
 
 def theorem_matrix(c: IntMatrix, d: int) -> IntMatrix:
     """The matrix (-1)**(d-1) * C @ (C^-1)^T - Id for a unipotent C.
 
-    Write Q = C^-1.  When C is lower Toeplitz with first column p (checked
-    as in unipotent_inverse), so is Q, with first column q, and X = C @ Q^T
-    has X[i][j] = X[i-1][j-1] + p_i * q_j; Id obeys the same recurrence
-    with 1 in place of p_0 * q_0.  So row i of M is row i - 1 shifted right
-    by one plus sign * p_i times the z nonzeros of q: O(k^2) list copying
-    and O(k * z) multiplications, with z <= 2^d for a Cartan matrix.  Any
-    other C takes the general route: column j is sign * sum_t Q[j][t] *
-    (column t of C) minus the j-th unit vector, summed over the nonzeros of
-    row j of Q only, and the columns are transposed once at the end.  That
-    costs O(k^2 * z) for z the most nonzeros in a row of Q, and O(k^3) for
-    a dense Q.
+    Write Q = C^-1.  When C records its first column p (see lower_toeplitz),
+    so does Q, with first column q, and X = C @ Q^T has X[i][j] =
+    X[i-1][j-1] + p_i * q_j; Id obeys the same recurrence with 1 in place
+    of p_0 * q_0.  So row i of M is row i - 1 shifted right by one plus
+    sign * p_i times the z nonzeros of q: O(k^2) list copying and O(k * z)
+    multiplications, with z <= 2^d for a Cartan matrix.  Any other C takes
+    the general route: column j is sign * sum_t Q[j][t] * (column t of C)
+    minus the j-th unit vector, summed over the nonzeros of row j of Q
+    only, and the columns are transposed once at the end.  That costs
+    O(k^2 * z) for z the most nonzeros in a row of Q, and O(k^3) for a
+    dense Q.
     """
     d = operator.index(d)
     if d < 2:
@@ -268,17 +291,17 @@ def theorem_matrix(c: IntMatrix, d: int) -> IntMatrix:
     sign = 1 if d % 2 == 1 else -1
     k = c.rows
     q = unipotent_inverse(c)
-    if _is_toeplitz(c.entries):
-        q_nonzeros = [(j, sign * row[0]) for j, row in enumerate(q.entries) if row[0]]
+    if c.first_column is not None:
+        q_nonzeros = [(j, sign * x) for j, x in enumerate(q.first_column) if x]
         rows = []
         row = [-1] + [0] * (k - 1)
-        for c_row in c.entries:
-            p = c_row[0]
+        for p in c.first_column:
             for j, x in q_nonzeros:
                 row[j] += p * x
-            rows.append(row)
-            row = [0] + row[:-1]
-        return IntMatrix(rows)
+            rows.append(tuple(row))
+            row.insert(0, 0)
+            row.pop()
+        return _unchecked(tuple(rows))
     c_cols = list(zip(*c.entries))
     cols = []
     for j, q_row in enumerate(q.entries):
@@ -291,7 +314,7 @@ def theorem_matrix(c: IntMatrix, d: int) -> IntMatrix:
                     col[i] += f * c_col[i]
         col[j] -= 1
         cols.append(col)
-    return IntMatrix(zip(*cols))
+    return _unchecked(tuple(zip(*cols)))
 
 
 def determinant(m: IntMatrix) -> int:
@@ -381,7 +404,7 @@ def smith_normal_form(m: IntMatrix) -> SnfDecomposition:
     """
     if m.is_square:
         block = _unit_pivot_block(m)
-        r = abs(determinant(IntMatrix(block))) if block else 1
+        r = abs(determinant(_unchecked(block))) if block else 1
         if r:
             ones = (1,) * (m.rows - len(block))
             return SnfDecomposition(m, ones + _divisors_mod(block, r))
@@ -390,15 +413,18 @@ def smith_normal_form(m: IntMatrix) -> SnfDecomposition:
     return SnfDecomposition(m, diagonal, cert)
 
 
-def _unit_pivot_block(m: IntMatrix) -> list[list[int]]:
+def _unit_pivot_block(m: IntMatrix) -> tuple[tuple[int, ...], ...]:
     """Eliminate +-1 pivots of a square m; return the dense block left.
 
     Each step pivots on a +-1 entry of the shortest row that holds one,
     which keeps fill-in low, clears its column by walking the other rows
     and drops its row and column, until no +-1 entry is left.  With every
     pivot a unit, the block left is a Schur complement whose entries are
-    minors of m, so they stay within the Hadamard bound.
+    minors of m, so they stay within the Hadamard bound.  An m without a
+    +-1 entry, such as the G of ktheory.pipeline_divisors, is the block.
     """
+    if not any(1 in row or -1 in row for row in m.entries):
+        return m.entries
     rows = {i: {j: x for j, x in enumerate(row) if x} for i, row in enumerate(m.entries)}
     left = set(range(m.cols))
     while True:
@@ -421,7 +447,7 @@ def _unit_pivot_block(m: IntMatrix) -> list[list[int]]:
                     else:
                         del row[c]
     order = sorted(left)
-    return [[rows[i].get(j, 0) for j in order] for i in sorted(rows)]
+    return tuple(tuple(rows[i].get(j, 0) for j in order) for i in sorted(rows))
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -441,7 +467,7 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, u0, v0
 
 
-def _divisors_mod(a: list[list[int]], r: int) -> tuple[int, ...]:
+def _divisors_mod(a: tuple[tuple[int, ...], ...], r: int) -> tuple[int, ...]:
     """Smith divisors of a square nonsingular a, given r = |det a|.
 
     Works on the last row and column of the block, modulo r, with the
@@ -541,6 +567,6 @@ def _snf_certificate(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
                         nonzero = [(p, t, t)]
                         break
 
-    u = IntMatrix([row[ncols:] for row in w[:nrows]])
-    d = IntMatrix([row[:ncols] for row in w[:nrows]])
-    return u, d, IntMatrix([row[:ncols] for row in w[nrows:]])
+    u = _unchecked(tuple(tuple(row[ncols:]) for row in w[:nrows]))
+    d = _unchecked(tuple(tuple(row[:ncols]) for row in w[:nrows]))
+    return u, d, _unchecked(tuple(tuple(row[:ncols]) for row in w[nrows:]))

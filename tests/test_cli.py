@@ -296,9 +296,15 @@ def test_sweep_takes_one_determinant_per_parameter_set(capsys, monkeypatch):
     rows = list(csv.reader(io.StringIO(out)))[1:]
     sets = {tuple(row[:3]) for row in rows}
     assert len(rows) == 3 * len(sets)
-    assert len(dets) == len(sets)
+    # The pipeline's det M is the closed form of pipeline_divisors.
+    assert dets == []
     # compute_ktheory still runs once per (set, prime) cell.
     assert len(computes) == len(rows)
+    code, out, _ = run_cli(capsys, "sweep", "--n", "3-7", "--primes", "2,3", "--source", "family")
+    assert code == 0
+    family_rows = list(csv.reader(io.StringIO(out)))[1:]
+    assert len(family_rows) == 2 * 5
+    assert len(dets) == 5
     # --max-cells counts (set, prime) cells, not parameter sets.
     assert run_cli(capsys, *args, "--max-cells", str(len(rows)))[0] == 0
     code, _, err = run_cli(capsys, *args, "--max-cells", str(len(rows) - 1))

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import ksing
 from ksing import (
     IntMatrix,
     NotSkewSymmetric,
@@ -11,13 +12,14 @@ from ksing import (
     determinant,
     path_counts_gf,
     pfaffian,
+    pipeline_divisors,
     pipeline_matrix,
     smith_normal_form,
     theorem_matrix,
     unipotent_inverse,
     validate_params,
 )
-from ksing.linalg import _is_toeplitz, _unit_pivot_block
+from ksing.linalg import _unit_pivot_block
 
 from conftest import (
     all_valid_params,
@@ -26,6 +28,23 @@ from conftest import (
     random_int_matrix,
     random_unimodular,
 )
+
+
+# The unit-weight family and the wide-lowdim benchmark sets, up to k = 150.
+FAMILY_AND_WIDE_SETS = [(n, n, (1,) * n) for n in range(3, 29)] + [
+    (61, 2, (1, 60)),
+    (81, 3, (1, 40, 40)),
+    (77, 4, (1, 2, 3, 71)),
+    (91, 5, (1, 2, 3, 4, 81)),
+    (101, 2, (1, 100)),
+    (151, 2, (1, 150)),
+    (101, 3, (1, 50, 50)),
+    (141, 3, (1, 70, 70)),
+    (101, 4, (1, 2, 3, 95)),
+    (121, 4, (1, 2, 3, 115)),
+    (101, 5, (1, 2, 3, 4, 91)),
+    (119, 5, (1, 2, 3, 4, 109)),
+]
 
 
 def random_unipotent(rng, k, bound=9):
@@ -75,6 +94,14 @@ class TestIntMatrix:
             IntMatrix([[1, 2], [3]])
         with pytest.raises(TypeError):
             IntMatrix([[1.5]])
+
+    def test_lower_toeplitz_validation(self):
+        with pytest.raises(TypeError):
+            IntMatrix.lower_toeplitz([1, "2"])
+        with pytest.raises(TypeError):
+            IntMatrix.lower_toeplitz([1, 2.0])
+        with pytest.raises(ValueError, match="at least one row"):
+            IntMatrix.lower_toeplitz([])
 
     def test_arithmetic(self):
         a = IntMatrix([[1, 2], [3, 4]])
@@ -156,25 +183,7 @@ class TestAgainstDenseReference:
         for params in all_valid_params(12):
             self.assert_matches(cartan_matrix(path_counts_gf(params)), params.d)
 
-    @pytest.mark.parametrize(
-        "n, d, weights",
-        [(n, n, (1,) * n) for n in range(3, 29)]
-        + [
-            (61, 2, (1, 60)),
-            (81, 3, (1, 40, 40)),
-            (77, 4, (1, 2, 3, 71)),
-            (91, 5, (1, 2, 3, 4, 81)),
-            # The rest of the wide-lowdim benchmark sets, up to k = 150.
-            (101, 2, (1, 100)),
-            (151, 2, (1, 150)),
-            (101, 3, (1, 50, 50)),
-            (141, 3, (1, 70, 70)),
-            (101, 4, (1, 2, 3, 95)),
-            (121, 4, (1, 2, 3, 115)),
-            (101, 5, (1, 2, 3, 4, 91)),
-            (119, 5, (1, 2, 3, 4, 109)),
-        ],
-    )
+    @pytest.mark.parametrize("n, d, weights", FAMILY_AND_WIDE_SETS)
     def test_family_and_wide_sets(self, n, d, weights):
         params = validate_params(n, d, weights)
         self.assert_matches(cartan_matrix(path_counts_gf(params)), d)
@@ -199,7 +208,7 @@ class TestAgainstDenseReference:
             i = rng.randrange(1, k)
             rows[i][rng.randrange(max(0, i - k + 2), i)] += rng.choice([-1, 1])
             c = IntMatrix(rows)
-            assert not _is_toeplitz(c.entries)
+            assert any(row[1:] != above[:-1] for above, row in zip(rows, rows[1:]))
             self.assert_matches(c, params.d)
 
     @pytest.mark.parametrize("bound", [1, 9])
@@ -210,6 +219,48 @@ class TestAgainstDenseReference:
         for _ in range(100):
             k = rng.randint(1, 12)
             self.assert_matches(random_unipotent(rng, k, bound), rng.randint(2, 7))
+
+
+class TestTrustBoundary:
+    """Entries are checked where they come in, and only there."""
+
+    def test_pipeline_entries_are_ints(self, monkeypatch):
+        gs = []
+        snf = ksing.ktheory.smith_normal_form
+
+        def recording_snf(m):
+            gs.append(m)
+            return snf(m)
+
+        monkeypatch.setattr(ksing.ktheory, "smith_normal_form", recording_snf)
+        sets = all_valid_params(12) + [validate_params(*s) for s in FAMILY_AND_WIDE_SETS]
+        for params in sets:
+            c = cartan_matrix(path_counts_gf(params))
+            pipeline_divisors(params.n, params.d)
+            for m in (c, unipotent_inverse(c), theorem_matrix(c, params.d), gs.pop()):
+                assert type(m.entries) is tuple
+                assert all(type(row) is tuple for row in m.entries)
+                assert all(type(x) is int for row in m.entries for x in row)
+
+    def test_rebuilt_toeplitz_takes_the_general_route(self):
+        sets = all_valid_params(12) + [validate_params(*s) for s in FAMILY_AND_WIDE_SETS]
+        for params in sets:
+            c = cartan_matrix(path_counts_gf(params))
+            rebuilt = IntMatrix(c.entries)
+            assert rebuilt == c and rebuilt.first_column is None
+            inverse = unipotent_inverse(rebuilt)
+            assert inverse.first_column is None
+            assert inverse == unipotent_inverse(c)
+            assert theorem_matrix(rebuilt, params.d) == theorem_matrix(c, params.d)
+
+    @pytest.mark.parametrize("corner", [0, 2, -1])
+    def test_recorded_column_rejects_as_the_rows_do(self, corner):
+        toeplitz = IntMatrix.lower_toeplitz([corner, 3, 1])
+        for m in (toeplitz, IntMatrix(toeplitz.entries)):
+            for call in (unipotent_inverse, lambda m: theorem_matrix(m, 3)):
+                with pytest.raises(NotUnipotent) as info:
+                    call(m)
+                assert str(info.value) == f"diagonal entry (0, 0) is {corner}, not 1"
 
 
 class TestTheoremMatrix:

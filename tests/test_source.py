@@ -45,3 +45,29 @@ def test_library_imports_only_the_standard_library():
                 imported.add((path.name, node.module.partition(".")[0]))
     assert {"argparse", "math"} <= {top for _, top in imported}
     assert sorted(i for i in imported if i[1] not in sys.stdlib_module_names) == []
+
+
+def test_unchecked_rows_are_wrapped_only_inside_linalg():
+    # ``linalg._unchecked`` skips the entry checks, so every row it wraps
+    # must be built from checked matrices within that module.
+    roots = [SOURCE, Path(__file__).resolve().parent, SOURCE.parents[1] / "perfbench"]
+    users = {
+        path.name
+        for root in roots
+        for path in sorted(root.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Name) and node.id == "_unchecked"
+        or isinstance(node, ast.Attribute) and node.attr == "_unchecked"
+        or isinstance(node, ast.alias) and node.name == "_unchecked"
+    }
+    assert users == {"linalg.py"}
+
+
+def test_cartan_matrix_and_its_inverse_record_their_first_column():
+    # Without a recorded column, unipotent_inverse and theorem_matrix fall
+    # back to the general route: the same answers, but O(k^2 * z).
+    c = ksing.cartan_matrix([1, 1, 3, 3])
+    inverse = ksing.unipotent_inverse(c)
+    assert c.first_column == (1, 1, 3, 3)
+    assert inverse.first_column == (1, -1, -2, 2)
+    assert inverse.entries[3] == (2, -2, -1, 1)

@@ -104,6 +104,13 @@ def _matrix_lines(m) -> list[str]:
     ]
 
 
+def _det_m(params: QuotientParams, source: str, m) -> int:
+    """det M: in closed form for the pipeline, by Bareiss for the other sources."""
+    if source == "theorem-pipeline":
+        return ktheory.pipeline_determinant(params.n, params.d)
+    return determinant(m)
+
+
 def _print_matrix(m, indent: str = "  ") -> None:
     for line in _matrix_lines(m):
         print(indent + line)
@@ -226,7 +233,7 @@ def _cmd_compute(args) -> int:
     print(f"matrix source: {report.matrix_source}")
     print("matrix M:")
     _print_matrix(report.matrix)
-    print(f"det(M) = {determinant(report.matrix)}")
+    print(f"det(M) = {_det_m(p, report.matrix_source, report.matrix)}")
     print(f"divisors: {', '.join(map(str, report.divisors))}")
     print(f"K_i, i >= 0 even: {report.even_group}")
     print(f"K_i, i >= 0 odd:  {report.odd_group}")
@@ -272,21 +279,22 @@ def _cmd_cartan(args) -> int:
 
 def _cmd_matrix(args) -> int:
     params = _params_from_args(args)
-    m = ktheory.matrix_from_source(params, _SOURCE_BY_ALIAS[args.source])
+    source = _SOURCE_BY_ALIAS[args.source]
+    m = ktheory.matrix_from_source(params, source)
     if args.format == "json":
         _emit_json(
             {
                 "schema_version": 1,
                 "params": {"n": params.n, "d": params.d, "weights": list(params.weights)},
-                "matrix_source": _SOURCE_BY_ALIAS[args.source],
+                "matrix_source": source,
                 "matrix": m.to_lists(),
-                "det": determinant(m),
+                "det": _det_m(params, source, m),
             }
         )
         return 0
     print("matrix M:")
     _print_matrix(m)
-    print(f"det(M) = {determinant(m)}")
+    print(f"det(M) = {_det_m(params, source, m)}")
     return 0
 
 
@@ -364,15 +372,11 @@ def _sweep_set(task) -> list[dict]:
     """The rows of one parameter set, one per coefficient.
 
     M does not depend on the coefficient, so its determinant is taken once
-    per set, in closed form for the pipeline (see
-    ktheory.pipeline_divisors); the groups are computed per coefficient.
+    per set (see _det_m); the groups are computed per coefficient.
     """
     params, coeffs, source = task
     reports = [ktheory.compute_ktheory(params, coeff, source) for coeff in coeffs]
-    if source == "theorem-pipeline":
-        det = (-1) ** (params.n - 1) * params.n ** (params.d - 1)
-    else:
-        det = determinant(reports[0].matrix)
+    det = _det_m(params, source, reports[0].matrix)
     return [
         {
             "n": params.n,

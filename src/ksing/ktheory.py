@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from .cartan import cartan_matrix, path_counts_gf
@@ -209,16 +209,16 @@ def multiset_number(d: int, r: int) -> int:
 
 def _family_odd(d: int) -> IntMatrix:
     k = d - 1
-    ms = multiset_number
+    ms = [multiset_number(d, r) for r in range(k)]
 
     def entry(i, j):
         if i < j:
-            return -sum(ms(d, r) * ms(d, (j - i) + r) for r in range(i))
+            return -sum(ms[r] * ms[(j - i) + r] for r in range(i))
         if i == j:
-            return -sum(ms(d, r) ** 2 for r in range(1, i))
+            return -sum(ms[r] ** 2 for r in range(1, i))
         return (
-            -sum(ms(d, (i - j) + r) * ms(d, r) for r in range(1, j))
-            + ms(d, i - j)
+            -sum(ms[(i - j) + r] * ms[r] for r in range(1, j))
+            + ms[i - j]
         )
 
     return IntMatrix([[entry(i, j) for j in range(1, k + 1)] for i in range(1, k + 1)])
@@ -226,16 +226,16 @@ def _family_odd(d: int) -> IntMatrix:
 
 def _family_even(d: int) -> IntMatrix:
     k = d - 1
-    ms = multiset_number
+    ms = [multiset_number(d, r) for r in range(k)]
 
     def entry(i, j):
         if i < j:
-            return sum(ms(d, r) * ms(d, (j - i) + r) for r in range(i))
+            return sum(ms[r] * ms[(j - i) + r] for r in range(i))
         if i == j:
-            return -2 + sum(ms(d, r) ** 2 for r in range(1, i))
+            return -2 + sum(ms[r] ** 2 for r in range(1, i))
         return (
-            sum(ms(d, (i - j) + r) * ms(d, r) for r in range(1, j))
-            - ms(d, i - j)
+            sum(ms[(i - j) + r] * ms[r] for r in range(1, j))
+            - ms[i - j]
         )
 
     return IntMatrix([[entry(i, j) for j in range(1, k + 1)] for i in range(1, k + 1)])
@@ -327,6 +327,11 @@ def pipeline_divisors(n: int, d: int) -> tuple[int, ...]:
     return (1,) * (n - d) + smith_normal_form(IntMatrix.lower_toeplitz(g)).divisors
 
 
+def pipeline_determinant(n: int, d: int) -> int:
+    """det pipeline_matrix(p) = (-1)**(n-1) * n**(d-1); see pipeline_divisors (e)."""
+    return (-1) ** (n - 1) * n ** (d - 1)
+
+
 def _source_gap(params: QuotientParams, source: str) -> Optional[str]:
     """Why ``source`` does not cover ``params``, or None when it does.
 
@@ -361,10 +366,17 @@ def corollary_analysis(
     report: KTheoryReport, integral_hints=None
 ) -> tuple[CorollaryNote, ...]:
     """Logical conclusions about integral K-groups, without computing them."""
-    q = report.coefficient.q
+    return _corollary_notes(
+        report.coefficient.q, report.even_group, report.odd_group, integral_hints
+    )
+
+
+def _corollary_notes(
+    q: int, even: FiniteAbelianGroup, odd: FiniteAbelianGroup, integral_hints=None
+) -> tuple[CorollaryNote, ...]:
     extra = f" ({integral_hints})" if integral_hints else ""
     notes = []
-    if report.even_group.is_trivial and report.odd_group.is_trivial:
+    if even.is_trivial and odd.is_trivial:
         notes.append(
             CorollaryNote(
                 "ii",
@@ -375,7 +387,7 @@ def corollary_analysis(
             )
         )
         return tuple(notes)
-    for parity, group in (("even", report.even_group), ("odd", report.odd_group)):
+    for parity, group in (("even", even), ("odd", odd)):
         if not group.is_trivial:
             notes.append(
                 CorollaryNote(
@@ -402,10 +414,11 @@ def compute_ktheory(
     m = matrix_from_source(params, source)
     if source == "theorem-pipeline":
         divisors = pipeline_divisors(params.n, params.d)
+        orders = divisors[params.n - params.d:]  # the leading ones add nothing
     else:
-        divisors = smith_normal_form(m).divisors
-    group = _groups_from_divisors(divisors, coeff.q)
-    report = KTheoryReport(
+        divisors = orders = smith_normal_form(m).divisors
+    group = _groups_from_divisors(orders, coeff.q)
+    return KTheoryReport(
         params=params,
         coefficient=coeff,
         matrix_source=source,
@@ -413,8 +426,8 @@ def compute_ktheory(
         divisors=divisors,
         even_group=group,
         odd_group=group,
+        corollary_notes=_corollary_notes(coeff.q, group, group),
     )
-    return replace(report, corollary_notes=corollary_analysis(report))
 
 
 @dataclass(frozen=True)

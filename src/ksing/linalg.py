@@ -3,7 +3,9 @@
 Dense matrices over Python's arbitrary-precision integers: products,
 transposes, unipotent-triangular inverses, determinants, Pfaffians, and
 Smith normal form with unimodular transformation certificates.  There is
-no floating point and no fixed-width fast path anywhere.
+no floating point, no rational arithmetic and no fixed-width fast path
+anywhere: determinants (Bareiss) and Pfaffians (the Pfaffian analogue)
+are fraction-free, and each of their divisions is exact.
 
 Entries are checked where they come in, by ``IntMatrix(rows)`` and
 ``IntMatrix.lower_toeplitz(col)``; rows built here from checked matrices
@@ -34,7 +36,6 @@ from __future__ import annotations
 
 import math
 import operator
-from fractions import Fraction
 
 
 class NotUnipotent(ValueError):
@@ -318,9 +319,15 @@ def theorem_matrix(c: IntMatrix, d: int) -> IntMatrix:
 
 
 def determinant(m: IntMatrix) -> int:
-    """Exact determinant via fraction-free (Bareiss) elimination."""
+    """Exact determinant via fraction-free (Bareiss) elimination.
+
+    A matrix that records its first column (see lower_toeplitz) is
+    triangular, so its determinant is the product of its diagonal.
+    """
     if not m.is_square:
         raise ValueError(f"determinant needs a square matrix, got {m.rows}x{m.cols}")
+    if m.first_column is not None:
+        return m.first_column[0] ** m.rows
     a = m.to_lists()
     n = m.rows
     sign = 1
@@ -346,9 +353,17 @@ def determinant(m: IntMatrix) -> int:
 def pfaffian(m: IntMatrix) -> int:
     """Exact Pfaffian of an even-sized skew-symmetric integer matrix.
 
-    Parlett-Reid style elimination over exact rationals; the sign
-    convention is Pf([[0, a], [-a, 0]]) = a.  Satisfies pfaffian(m)**2 ==
-    determinant(m).
+    Fraction-free Parlett-Reid elimination, the Pfaffian form of Bareiss:
+    step k = 0, 2, 4, ... pivots on p = a[k][k+1], first swapping in a row
+    and its column when that is 0 (Pf changes sign), and sets each a[i][j],
+    k + 1 < i < j, to (p a[i][j] - a[k][i] a[k+1][j] + a[k][j] a[k+1][i])
+    // prev, for prev the pivot before (1 at the start).  Then a[i][j] is
+    the Pfaffian of the principal minor on rows 0..k+1, i, j, so by the
+    Pfaffian form of Sylvester's identity, Pf(I) Pf(I+abcd) = Pf(I+ab)
+    Pf(I+cd) - Pf(I+ac) Pf(I+bd) + Pf(I+ad) Pf(I+bc) (Tanner 1878; Knuth,
+    "Overlapping Pfaffians", 1996), each division is exact, and the last
+    pivot is Pf; a remainder raises ArithmeticError.  The sign convention
+    is Pf([[0, a], [-a, 0]]) = a, and pfaffian(m)**2 == determinant(m).
     """
     if not m.is_square:
         raise NotSkewSymmetric(f"matrix is {m.rows}x{m.cols}, not square")
@@ -363,14 +378,11 @@ def pfaffian(m: IntMatrix) -> int:
                 )
     if n % 2 == 1:
         raise OddSize(f"Pfaffian needs even size, got {n}")
-    a = [[Fraction(x) for x in row] for row in e]
-    pf = Fraction(1)
+    a = m.to_lists()
+    sign = 1
+    prev = 1
     for k in range(0, n - 1, 2):
-        piv = None
-        for j in range(k + 1, n):
-            if a[k][j] != 0:
-                piv = j
-                break
+        piv = next((j for j in range(k + 1, n) if a[k][j]), None)
         if piv is None:
             return 0
         if piv != k + 1:
@@ -378,16 +390,19 @@ def pfaffian(m: IntMatrix) -> int:
             a[k + 1], a[piv] = a[piv], a[k + 1]
             for row in a:
                 row[k + 1], row[piv] = row[piv], row[k + 1]
-            pf = -pf
-        p = a[k][k + 1]
-        pf *= p
+            sign = -sign
+        rk, rk1 = a[k], a[k + 1]
+        p = rk[k + 1]
         for i in range(k + 2, n):
+            ri, x, y = a[i], rk[i], rk1[i]
             for j in range(i + 1, n):
-                a[i][j] -= (a[k][i] * a[k + 1][j] - a[k][j] * a[k + 1][i]) / p
-                a[j][i] = -a[i][j]
-    if pf.denominator != 1:
-        raise ArithmeticError(f"Pfaffian elimination ended at non-integer {pf}")
-    return int(pf)
+                v, r = divmod(p * ri[j] - x * rk1[j] + rk[j] * y, prev)
+                if r:
+                    raise ArithmeticError(f"inexact Pfaffian step at ({i}, {j})")
+                ri[j] = v
+                a[j][i] = -v
+        prev = p
+    return sign * prev
 
 
 def smith_normal_form(m: IntMatrix) -> SnfDecomposition:
@@ -396,7 +411,7 @@ def smith_normal_form(m: IntMatrix) -> SnfDecomposition:
     For square nonsingular m the divisors come from three steps whose
     entries stay bounded: unimodular eliminations on +-1 pivots over Z
     (each contributes a divisor 1), R = |det| of the block that remains
-    (Bareiss), and an elimination of that block modulo R with extended
+    (see determinant), and an elimination of that block modulo R with extended
     gcds (Hafner-McCurley).  A singular or non-square m goes straight to
     the certificate elimination, which also gives the trailing zero
     divisors (gcd(0, q) = q downstream).  Reading U, D or V of the result
@@ -404,7 +419,8 @@ def smith_normal_form(m: IntMatrix) -> SnfDecomposition:
     """
     if m.is_square:
         block = _unit_pivot_block(m)
-        r = abs(determinant(_unchecked(block))) if block else 1
+        whole = block is m.entries  # then m keeps its recorded first column
+        r = abs(determinant(m if whole else _unchecked(block))) if block else 1
         if r:
             ones = (1,) * (m.rows - len(block))
             return SnfDecomposition(m, ones + _divisors_mod(block, r))
@@ -423,7 +439,9 @@ def _unit_pivot_block(m: IntMatrix) -> tuple[tuple[int, ...], ...]:
     minors of m, so they stay within the Hadamard bound.  An m without a
     +-1 entry, such as the G of ktheory.pipeline_divisors, is the block.
     """
-    if not any(1 in row or -1 in row for row in m.entries):
+    # A recorded first column holds every nonzero entry of the matrix.
+    lines = m.entries if m.first_column is None else (m.first_column,)
+    if not any(1 in row or -1 in row for row in lines):
         return m.entries
     rows = {i: {j: x for j, x in enumerate(row) if x} for i, row in enumerate(m.entries)}
     left = set(range(m.cols))

@@ -2,14 +2,16 @@
 
 The oracles here deliberately avoid the library's own algorithms:
 determinants by cofactor expansion, Pfaffians by the 4x4 combinatorial
-formula, quivers by the literal three-step truncation, and kernels /
-cokernels over Z/q by explicit enumeration of the map on (Z/q)^k.
+formula and by Parlett-Reid elimination over the rationals, quivers by
+the literal three-step truncation, and kernels / cokernels over Z/q by
+explicit enumeration of the map on (Z/q)^k.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import defaultdict
+from fractions import Fraction
 from math import gcd, prod
 
 import numpy as np
@@ -84,6 +86,35 @@ def pfaffian4(m: IntMatrix) -> int:
     """The 4x4 Pfaffian a12*a34 - a13*a24 + a14*a23."""
     assert m.rows == m.cols == 4
     return m[0, 1] * m[2, 3] - m[0, 2] * m[1, 3] + m[0, 3] * m[1, 2]
+
+
+def pfaffian_fractions(rows) -> int:
+    """Pfaffian by Parlett-Reid elimination over Fractions.
+
+    Pivots on (k, k + 1), swapping in the first later column with a
+    nonzero entry in row k (Pf changes sign), and subtracts the rank-2
+    update divided by the pivot; Pf is the product of the pivots.
+    """
+    a = [[Fraction(x) for x in row] for row in rows]
+    n = len(a)
+    pf = Fraction(1)
+    for k in range(0, n - 1, 2):
+        piv = next((j for j in range(k + 1, n) if a[k][j]), None)
+        if piv is None:
+            return 0
+        if piv != k + 1:
+            a[k + 1], a[piv] = a[piv], a[k + 1]
+            for row in a:
+                row[k + 1], row[piv] = row[piv], row[k + 1]
+            pf = -pf
+        p = a[k][k + 1]
+        pf *= p
+        for i in range(k + 2, n):
+            for j in range(i + 1, n):
+                a[i][j] -= (a[k][i] * a[k + 1][j] - a[k][j] * a[k + 1][i]) / p
+                a[j][i] = -a[i][j]
+    assert pf.denominator == 1
+    return int(pf)
 
 
 def random_int_matrix(rng, rows: int, cols: int, bound: int) -> IntMatrix:

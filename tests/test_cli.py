@@ -312,6 +312,28 @@ def test_sweep_takes_one_determinant_per_parameter_set(capsys, monkeypatch):
     assert "RangeTooLarge" in err
 
 
+@pytest.mark.parametrize(
+    "command, fmt", [("compute", "pretty"), ("matrix", "pretty"), ("matrix", "json")]
+)
+def test_pipeline_det_is_the_closed_form(capsys, monkeypatch, command, fmt):
+    dets = []
+    determinant = ksing.cli.determinant
+
+    def counting_determinant(m):
+        dets.append(m)
+        return determinant(m)
+
+    monkeypatch.setattr(ksing.cli, "determinant", counting_determinant)
+    args = (command, "--n", "7", "--d", "7", "--weights", "1,1,1,1,1,1,1", "--format", fmt)
+    if command == "compute":
+        args += ("--prime", "7")
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 0 and dets == []
+    assert out.count(f" {7**6}") == 1
+    assert run_cli(capsys, *args, "--source", "family")[0] == 0
+    assert len(dets) == 1
+
+
 @pytest.mark.parametrize("alias", ["pipeline", "family", "fixture"])
 def test_sweep_keeps_exactly_the_sets_its_source_covers(alias):
     source = ksing.cli._SOURCE_BY_ALIAS[alias]

@@ -294,6 +294,23 @@ class TestFamilyClosedForm:
             even = _family_even(d)
             assert even == -odd - 2 * IntMatrix.identity(d - 1)
 
+    @pytest.mark.parametrize("d", range(3, 31))
+    def test_tabled_formulas_match_a_direct_evaluation(self, d):
+        # The published formulas with every multiset number computed in place.
+        ms, sign = multiset_number, 1 if d % 2 == 1 else -1
+
+        def entry(i, j):
+            if i < j:
+                return -sign * sum(ms(d, r) * ms(d, (j - i) + r) for r in range(i))
+            if i == j:
+                return (sign - 1) - sign * sum(ms(d, r) ** 2 for r in range(1, i))
+            return sign * (
+                -sum(ms(d, (i - j) + r) * ms(d, r) for r in range(1, j)) + ms(d, i - j)
+            )
+
+        want = [[entry(i, j) for j in range(1, d)] for i in range(1, d)]
+        assert family_matrix_closed_form(d).to_lists() == want
+
 
 class TestCorollaryAnalysis:
     def test_conclusion_i_fires_on_nonvanishing(self):
@@ -459,6 +476,14 @@ def test_pipeline_determinant_is_the_squared_pfaffian(params):
     # Pf(C - C^T)**2.  The Pfaffian side never builds M.
     c = cartan_matrix(path_counts_gf(params))
     assert determinant(pipeline_matrix(params)) == pfaffian(c - c.transpose()) ** 2
+
+
+@pytest.mark.parametrize("d", range(3, 32, 2))
+def test_family_determinant_is_the_squared_pfaffian(d):
+    params = validate_params(d, d, (1,) * d)
+    c = cartan_matrix(path_counts_gf(params))
+    skew = c - c.transpose()
+    assert pfaffian(skew) ** 2 == determinant(skew) == determinant(pipeline_matrix(params))
 
 
 # The few-weight sets with n = 61..151 of the wide-lowdim benchmark workload.

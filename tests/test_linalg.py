@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -25,6 +26,7 @@ from conftest import (
     all_valid_params,
     laplace_det,
     pfaffian4,
+    pfaffian_fractions,
     random_int_matrix,
     random_unimodular,
 )
@@ -363,6 +365,25 @@ class TestPfaffian:
     def test_zero_pfaffian(self):
         assert pfaffian(IntMatrix.zeros(4, 4)) == 0
 
+    def test_matches_the_rational_elimination(self):
+        # Sparse entries make zero pivots, hence swaps, and zero Pfaffians.
+        rng = random.Random(47)
+        swaps = zeros = 0
+        for _ in range(400):
+            k = rng.choice((2, 4, 6, 8, 10, 12))
+            density = rng.random()
+            m = [[0] * k for _ in range(k)]
+            for i in range(k):
+                for j in range(i + 1, k):
+                    if rng.random() < density:
+                        m[i][j] = rng.randint(-6, 6)
+                        m[j][i] = -m[i][j]
+            got = pfaffian(IntMatrix(m))
+            assert got == pfaffian_fractions(m), m
+            swaps += m[0][1] == 0 and any(m[0])
+            zeros += got == 0
+        assert swaps >= 20 and zeros >= 20
+
 
 def assert_snf_certificate(m, dec):
     assert dec.U @ m @ dec.V == dec.D
@@ -383,6 +404,30 @@ def assert_snf_certificate(m, dec):
         dec.divisors[i] == 0 and dec.divisors[i + 1] != 0
         for i in range(len(dec.divisors) - 1)
     )
+
+
+class TestLowerToeplitzDeterminant:
+    """A recorded first column gives det as the diagonal's product; it
+    must agree with Bareiss on the same rows without the column."""
+
+    def test_grid_g(self):
+        for n in range(2, 13):
+            for d in range(2, n + 1):
+                g = IntMatrix.lower_toeplitz(
+                    [(-1) ** i * math.comb(n, i + 1) for i in range(d - 1)]
+                )
+                assert determinant(g) == determinant(IntMatrix(g.entries)) == n ** (d - 1)
+                assert _unit_pivot_block(g) is g.entries
+
+    def test_random_columns(self):
+        rng = random.Random(53)
+        for _ in range(200):
+            col = [rng.randint(-3, 3) for _ in range(rng.randint(1, 9))]
+            t = IntMatrix.lower_toeplitz(col)
+            plain = IntMatrix(t.entries)
+            assert determinant(t) == determinant(plain)
+            assert _unit_pivot_block(t) == _unit_pivot_block(plain)
+            assert smith_normal_form(t).divisors == smith_normal_form(plain).divisors
 
 
 class TestUnitPivotBlock:

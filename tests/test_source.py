@@ -47,6 +47,21 @@ def test_library_imports_only_the_standard_library():
     assert sorted(i for i in imported if i[1] not in sys.stdlib_module_names) == []
 
 
+def test_library_has_no_rational_or_decimal_arithmetic():
+    # linalg promises exact integer work with no floating point; the
+    # Pfaffian and the determinant divide exactly instead.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SOURCE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Import) and any(
+            a.name.partition(".")[0] in ("fractions", "decimal") for a in node.names
+        )
+        or isinstance(node, ast.ImportFrom) and node.module in ("fractions", "decimal")
+    ]
+    assert found == []
+
+
 def test_unchecked_rows_are_wrapped_only_inside_linalg():
     # ``linalg._unchecked`` skips the entry checks, so every row it wraps
     # must be built from checked matrices within that module.

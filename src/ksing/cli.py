@@ -16,7 +16,6 @@ import os
 import sys
 from collections.abc import Iterator
 from itertools import chain
-from multiprocessing import Pool
 
 from . import ktheory
 from .cartan import cartan_matrix, path_counts_bruteforce, path_counts_gf
@@ -440,6 +439,8 @@ def _cmd_sweep(args) -> int:
     # A pool starts all its workers at once: start no more than can be used.
     jobs = min(args.jobs, len(tasks), os.cpu_count() or 1)
     if jobs > 1:
+        from multiprocessing import Pool  # here, so serial runs never import it
+
         with Pool(jobs) as pool:
             groups = pool.map(_sweep_set, tasks)
     else:

@@ -289,7 +289,9 @@ def pipeline_divisors(n: int, d: int) -> tuple[int, ...]:
     triangular Toeplitz matrix with first column g_n mod y**(d-1); its
     diagonal is n and det G = n**(d-1).  The divisors of M are n - d ones
     followed by the divisors of G: coker M = Z[y]/(y**(d-1), g_n(y)),
-    whatever the weights are.
+    whatever the weights are.  For prime n, n divides C(n, i + 1) for
+    i < d - 1 <= n - 1, so G = n * (unipotent) and its divisors are d - 1
+    copies of n, which smith_normal_form reads off G's content.
 
     Proof sketch.  Write k = n - 1, s = (-1)**(d-1), f(t) = prod_j
     (1 - t**a_j) = sum_i c_i t**i and N_m for the m x m lower shift, so

@@ -15,21 +15,24 @@ The unipotent inverse and the theorem matrix C @ (C^-1)^T work only where
 the inverse is nonzero.  A Cartan matrix C is lower Toeplitz (each row is
 the row above shifted right by one), and so is C^-1, with first column the
 coefficients of prod_j (1 - t^a_j): at most z <= 2^d nonzeros however large
-n is.  ``lower_toeplitz`` records its column as ``first_column``, so the
-structure is known, not detected: the inverse solves its first column
-only, in O(k * z), and each row of C @ (C^-1)^T is the row above shifted
-right plus z products, so both cost O(k^2) list copying and O(k * z)
-multiplications.  A matrix without a recorded column takes the general
-route, O(k^2 * z) for z the most nonzeros in a row or column of C^-1, and
-O(k^3) for a dense inverse.
+n is.  ``lower_toeplitz`` records its column as ``first_column`` and builds
+its rows only when they are read, so the structure is known, not detected:
+the inverse solves its first column only, in O(k * z), and each row of
+C @ (C^-1)^T is the row above shifted right plus z products, so the rows
+of C and C^-1 are never built, and M costs O(k^2) list copying and
+O(k * z) multiplications.  A matrix without a recorded column takes the
+general route, O(k^2 * z) for z the most nonzeros in a row or column of
+C^-1, and O(k^3) for a dense inverse.
 
 Smith divisors of a square nonsingular matrix are computed with bounded
-entries: +-1 pivots over Z, taken from the shortest rows, then elimination
-modulo |det| (Kannan-Bachem, Hafner-McCurley), so intermediates stay near
-the size of the determinant.  The U, V certificate comes from a separate
-elimination over Z, one clearing round per pivot, built only when U, D or
-V is read.  Its entries are not bounded: on the unit-weight family they
-reach 1,155 bits at n = 19 and 29,760 bits at n = 32.
+entries: +-1 pivots over Z, taken from the shortest rows, then the
+content c of the k x k block left is divided out (exact, as SNF(c * A) =
+c * SNF(A)), then elimination modulo |det| / c**k (Kannan-Bachem,
+Hafner-McCurley), so intermediates stay near the size of the determinant.
+The U, V certificate comes from a separate elimination over Z, one
+clearing round per pivot, built only when U, D or V is read.  Its entries
+are not bounded: on the unit-weight family they reach 1,155 bits at
+n = 19 and 29,760 bits at n = 32.
 """
 
 from __future__ import annotations
@@ -53,7 +56,8 @@ class OddSize(ValueError):
 class IntMatrix:
     """Immutable dense integer matrix stored row-major as nested tuples.
 
-    ``first_column`` is recorded by ``lower_toeplitz``, else None.
+    ``first_column`` is recorded by ``lower_toeplitz``, else None; the rows
+    of such a matrix are built from it on the first read of ``entries``.
     """
 
     __slots__ = ("entries", "first_column")
@@ -67,6 +71,19 @@ class IntMatrix:
             raise ValueError("matrix rows have unequal lengths")
         self.entries = entries
         self.first_column = None
+
+    def __getattr__(self, name):
+        # Python calls this only where normal lookup fails, so set slots
+        # read at full speed; an unset ``entries`` holds the rows of a
+        # lower_toeplitz matrix, built here on the first read.
+        if name != "entries" or self.first_column is None:
+            raise AttributeError(name)
+        col = self.first_column
+        k = len(col)
+        # Row i is w[k - 1 - i : 2k - 1 - i].
+        w = col[::-1] + (0,) * (k - 1)
+        self.entries = tuple([w[s : s + k] for s in range(k - 1, -1, -1)])
+        return self.entries
 
     @classmethod
     def identity(cls, k: int) -> "IntMatrix":
@@ -84,20 +101,19 @@ class IntMatrix:
         [[1, 0, 0, 0], [1, 1, 0, 0], [3, 1, 1, 0], [3, 3, 1, 1]]
         """
         col = tuple(map(operator.index, col))
-        k = len(col)
-        if not k:
+        if not col:
             raise ValueError("matrix needs at least one row and one column")
-        # Row i is w[k - 1 - i : 2k - 1 - i].
-        w = col[::-1] + (0,) * (k - 1)
-        return _unchecked(tuple([w[s : s + k] for s in range(k - 1, -1, -1)]), col)
+        m = object.__new__(cls)
+        m.first_column = col
+        return m
 
     @property
     def rows(self) -> int:
-        return len(self.entries)
+        return len(self.first_column or self.entries)
 
     @property
     def cols(self) -> int:
-        return len(self.entries[0])
+        return len(self.first_column or self.entries[0])
 
     @property
     def is_square(self) -> bool:
@@ -179,11 +195,11 @@ class IntMatrix:
             )
 
 
-def _unchecked(entries: tuple, first_column=None) -> IntMatrix:
+def _unchecked(entries: tuple) -> IntMatrix:
     """An IntMatrix of tuple rows built here from checked ones, unchecked."""
     m = object.__new__(IntMatrix)
     m.entries = entries
-    m.first_column = first_column
+    m.first_column = None
     return m
 
 
@@ -231,7 +247,8 @@ def unipotent_inverse(m: IntMatrix) -> IntMatrix:
     so far in column j.  A column costs O(k * z) for z its nonzeros.  When
     m records its first column p (see lower_toeplitz), only p[0] == 1 needs
     checking, and the inverse is lower Toeplitz too, so only column 0 is
-    solved: O(k * z) in all.  A Cartan matrix is such an m, and its
+    solved, from p alone: O(k * z) in all, and no row of m or of the
+    result is built.  A Cartan matrix is such an m, and its
     inverse's first column holds the coefficients of prod_j (1 - t^a_j),
     a product of d binomials, so z <= 2^d.  Any other m has each row
     checked and all k columns solved: O(k^2 * z), and O(k^3) for a dense
@@ -244,8 +261,8 @@ def unipotent_inverse(m: IntMatrix) -> IntMatrix:
     if not m.is_square:
         raise NotUnipotent(f"matrix is {m.rows}x{m.cols}, not square")
     k = m.rows
-    e = m.entries
     if p is None:
+        e = m.entries
         for i, row in enumerate(e):
             if row[i] != 1:
                 raise NotUnipotent(f"diagonal entry ({i}, {i}) is {row[i]}, not 1")
@@ -258,10 +275,14 @@ def unipotent_inverse(m: IntMatrix) -> IntMatrix:
         col[j] = 1
         nonzeros = [(j, 1)]
         for i in range(j + 1, k):
-            row = e[i]
             x = 0
-            for t, y in nonzeros:
-                x -= row[t] * y
+            if p is None:
+                row = e[i]
+                for t, y in nonzeros:
+                    x -= row[t] * y
+            else:  # entry (i, t) of m is p[i - t]; its rows are never built
+                for t, y in nonzeros:
+                    x -= p[i - t] * y
             if x:
                 col[i] = x
                 nonzeros.append((i, x))
@@ -408,22 +429,33 @@ def pfaffian(m: IntMatrix) -> int:
 def smith_normal_form(m: IntMatrix) -> SnfDecomposition:
     """Smith normal form of m; the U, V certificate is built on demand.
 
-    For square nonsingular m the divisors come from three steps whose
+    For square nonsingular m the divisors come from four steps whose
     entries stay bounded: unimodular eliminations on +-1 pivots over Z
-    (each contributes a divisor 1), R = |det| of the block that remains
-    (see determinant), and an elimination of that block modulo R with extended
-    gcds (Hafner-McCurley).  A singular or non-square m goes straight to
-    the certificate elimination, which also gives the trailing zero
-    divisors (gcd(0, q) = q downstream).  Reading U, D or V of the result
-    runs that elimination, whose entries are unbounded.
+    (each contributes a divisor 1), R = |det| of the k x k block A that
+    remains (see determinant), its content c, and an elimination of A / c
+    modulo R / c**k with extended gcds (Hafner-McCurley).  As SNF(c * B) =
+    c * SNF(B), each divisor of A is c times one of A / c, and R / c**k = 1
+    leaves nothing to eliminate, as for the G of ktheory.pipeline_divisors
+    at prime n.  A singular or non-square m goes straight to the
+    certificate elimination, which also gives the trailing zero divisors
+    (gcd(0, q) = q downstream).  Reading U, D or V of the result runs that
+    elimination, whose entries are unbounded.
     """
     if m.is_square:
         block = _unit_pivot_block(m)
+        ones = (1,) * (m.rows - len(block))
+        if not block:
+            return SnfDecomposition(m, ones)
         whole = block is m.entries  # then m keeps its recorded first column
-        r = abs(determinant(m if whole else _unchecked(block))) if block else 1
+        r = abs(determinant(m if whole else _unchecked(block)))
         if r:
-            ones = (1,) * (m.rows - len(block))
-            return SnfDecomposition(m, ones + _divisors_mod(block, r))
+            recorded = m.first_column if whole else None
+            c = math.gcd(*(recorded or [x for row in block for x in row]))
+            r //= c ** len(block)
+            if r == 1:
+                return SnfDecomposition(m, ones + (c,) * len(block))
+            a = block if c == 1 else tuple(tuple(x // c for x in row) for row in block)
+            return SnfDecomposition(m, ones + tuple(c * x for x in _divisors_mod(a, r)))
     cert = _snf_certificate(m)
     diagonal = tuple(cert[1][i, i] for i in range(min(m.rows, m.cols)))
     return SnfDecomposition(m, diagonal, cert)

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import multiprocessing
 import sys
 import tracemalloc
 import typing
@@ -458,7 +459,8 @@ def test_sweep_starts_no_more_workers_than_sets_or_cpus(capsys, monkeypatch):
         def map(self, func, tasks):
             return [func(task) for task in tasks]
 
-    monkeypatch.setattr(ksing.cli, "Pool", FakePool)
+    # cli imports Pool only for --jobs > 1, so patch it where it comes from.
+    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
     args = ("sweep", "--weights-mode", "ones", "--n", "3-5", "--primes", "2,3")
     _, serial, _ = run_cli(capsys, *args)
     # Three sets: the pool is capped at the sets, then at the CPUs.

@@ -533,6 +533,24 @@ def test_pipeline_divisors_on_random_parameters(params):
     assert_pipeline_divisors(params)
 
 
+def test_pipeline_divisors_count_the_l_primary_summands():
+    # ROADMAP item 2's closed form, from no elimination: modulo l, g_n is a
+    # unit times y**(l**v - 1) for v = v_l(n), so exactly
+    # min(l**v - 1, d - 1) divisors of G are divisible by l.
+    checked = 0
+    for n in range(2, 61):
+        for d in range(2, min(n, 14) + 1):
+            divisors = pipeline_divisors(n, d)
+            for l in (2, 3, 5, 7, 11, 13):
+                v = 0
+                while n % l ** (v + 1) == 0:
+                    v += 1
+                count = sum(1 for x in divisors if x % l == 0)
+                assert count == min(l**v - 1, d - 1), (n, d, l)
+                checked += 1
+    assert checked == 4134
+
+
 def test_pipeline_divisors_refuses_d_outside_2_to_n():
     for n, d in ((5, 1), (3, 4)):
         with pytest.raises(InputError, match="2 <= d <= n"):

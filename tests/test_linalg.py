@@ -20,7 +20,8 @@ from ksing import (
     unipotent_inverse,
     validate_params,
 )
-from ksing.linalg import _unit_pivot_block
+import ksing.linalg
+from ksing.linalg import _snf_certificate, _unit_pivot_block
 
 from conftest import (
     all_valid_params,
@@ -254,6 +255,20 @@ class TestTrustBoundary:
             assert inverse.first_column is None
             assert inverse == unipotent_inverse(c)
             assert theorem_matrix(rebuilt, params.d) == theorem_matrix(c, params.d)
+
+    def test_toeplitz_route_builds_no_rows_of_c_or_its_inverse(self):
+        # Only M's rows are built; C and C^-1 are read off their columns,
+        # and their rows, once read, are those of the dense route.
+        for n, d, weights in FAMILY_AND_WIDE_SETS[::6]:
+            c = cartan_matrix(path_counts_gf(validate_params(n, d, weights)))
+            inverse = unipotent_inverse(c)
+            m = theorem_matrix(c, d)
+            assert (c.rows, c.cols, inverse.rows, inverse.cols) == (n - 1,) * 4
+            for unbuilt in (c, inverse):
+                with pytest.raises(AttributeError):
+                    IntMatrix.entries.__get__(unbuilt)  # the slot, unset
+            assert m == reference_theorem_matrix(c, d)
+            assert inverse == reference_inverse(IntMatrix(c.entries))
 
     @pytest.mark.parametrize("corner", [0, 2, -1])
     def test_recorded_column_rejects_as_the_rows_do(self, corner):
@@ -522,6 +537,61 @@ class TestSmithNormalForm:
                 abs(x).bit_length() for w in (dec.U, dec.V) for row in w.entries for x in row
             )
             assert bits <= 10_000, (n, bits)
+
+    @staticmethod
+    def certificate_diagonal(m):
+        d = _snf_certificate(m)[1]
+        return tuple(d[i, i] for i in range(m.rows))
+
+    def test_content_scales_the_divisors(self):
+        # SNF(c * A) = c * SNF(A); both sides also against the certificate.
+        rng = random.Random(61)
+        tried = 0
+        while tried < 80:
+            k = rng.randint(1, 6)
+            if rng.random() < 0.5:
+                a = random_int_matrix(rng, k, k, 9)
+            else:
+                a = IntMatrix.lower_toeplitz([rng.randint(-9, 9) for _ in range(k)])
+            if determinant(a) == 0:
+                continue
+            tried += 1
+            base = smith_normal_form(a).divisors
+            assert base == self.certificate_diagonal(a)
+            for c in (2, 3, 6, 12):
+                if a.first_column is None:
+                    scaled = c * a
+                else:
+                    scaled = IntMatrix.lower_toeplitz([c * x for x in a.first_column])
+                got = smith_normal_form(scaled).divisors
+                assert got == tuple(c * x for x in base)
+                assert got == self.certificate_diagonal(IntMatrix(scaled.entries))
+
+    def test_unimodular_input_needs_no_elimination(self, monkeypatch):
+        def no_elimination(a, r):
+            raise AssertionError("_divisors_mod called")
+
+        monkeypatch.setattr(ksing.linalg, "_divisors_mod", no_elimination)
+        rng = random.Random(67)
+        # [[2, 3], [3, 5]] is unimodular with no +-1 entry, so its block is
+        # not empty; the identity and most products of shears leave none.
+        inputs = [IntMatrix.identity(k) for k in range(1, 6)]
+        inputs += [random_unimodular(rng, rng.randint(1, 6)) for _ in range(40)]
+        inputs.append(IntMatrix([[2, 3], [3, 5]]))
+        assert _unit_pivot_block(inputs[0]) == ()
+        for m in inputs:
+            assert smith_normal_form(m).divisors == (1,) * m.rows
+
+    def test_prime_g_needs_no_elimination(self, monkeypatch):
+        # For prime p every entry of G is a multiple of p, so G = p * a
+        # unipotent matrix and its divisors come from the content alone.
+        def no_elimination(a, r):
+            raise AssertionError("_divisors_mod called")
+
+        monkeypatch.setattr(ksing.linalg, "_divisors_mod", no_elimination)
+        for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+            for d in range(2, p + 1):
+                assert pipeline_divisors(p, d) == (1,) * (p - d) + (p,) * (d - 1)
 
     def test_divisor_product_is_absolute_determinant(self):
         rng = random.Random(59)

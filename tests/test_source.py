@@ -3,6 +3,8 @@
 import ast
 import doctest
 import importlib
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -86,3 +88,14 @@ def test_cartan_matrix_and_its_inverse_record_their_first_column():
     assert c.first_column == (1, 1, 3, 3)
     assert inverse.first_column == (1, -1, -2, 2)
     assert inverse.entries[3] == (2, -2, -1, 1)
+
+
+def test_cli_import_leaves_multiprocessing_out():
+    # The sweep imports multiprocessing only for --jobs > 1; at import it
+    # is most of what ``import ksing.cli`` costs.
+    code = "import sys, ksing.cli; print('multiprocessing' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(SOURCE.parent)}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "False"

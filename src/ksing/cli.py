@@ -22,6 +22,7 @@ from .cartan import cartan_matrix, path_counts_bruteforce, path_counts_gf
 from .errors import InputError
 from .linalg import determinant, smith_normal_form
 from .params import (
+    NonPositiveExponent,
     PrimePower,
     QuotientParams,
     iter_weight_tuples,
@@ -260,7 +261,7 @@ def _cmd_cartan(args) -> int:
     if args.format == "json":
         payload = {
             "schema_version": 1,
-            "params": {"n": params.n, "d": params.d, "weights": list(params.weights)},
+            "params": params.to_json_dict(),
             "path_counts": counts,
             "cartan_matrix": c.to_lists(),
         }
@@ -284,7 +285,7 @@ def _cmd_matrix(args) -> int:
         _emit_json(
             {
                 "schema_version": 1,
-                "params": {"n": params.n, "d": params.d, "weights": list(params.weights)},
+                "params": params.to_json_dict(),
                 "matrix_source": source,
                 "matrix": m.to_lists(),
                 "det": _det_m(params, source, m),
@@ -421,7 +422,17 @@ def _sweep_params(args) -> Iterator[QuotientParams]:
     return (p for p in sets if ktheory._source_gap(p, source) is None)
 
 
+def _check_sweep_flags(args) -> None:
+    """Refuse a count flag below 1, even where no cell would read it."""
+    if args.exponent < 1:
+        raise NonPositiveExponent(f"exponent nu must be >= 1, got {args.exponent}")
+    for flag, value in (("--max-cells", args.max_cells), ("--jobs", args.jobs)):
+        if value < 1:
+            raise InputError(f"{flag} must be at least 1, got {value}")
+
+
 def _cmd_sweep(args) -> int:
+    _check_sweep_flags(args)
     primes = chain.from_iterable(_parse_int_list(args.primes))
     coeffs = [validate_prime_power(l, args.exponent) for l in primes]
     source = _SOURCE_BY_ALIAS[args.source]

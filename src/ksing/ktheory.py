@@ -143,11 +143,7 @@ class KTheoryReport:
     def to_json_dict(self) -> dict:
         return {
             "schema_version": 1,
-            "params": {
-                "n": self.params.n,
-                "d": self.params.d,
-                "weights": list(self.params.weights),
-            },
+            "params": self.params.to_json_dict(),
             "coefficient": {
                 "l": self.coefficient.l,
                 "nu": self.coefficient.nu,
@@ -207,51 +203,29 @@ def multiset_number(d: int, r: int) -> int:
     return math.comb(d + r - 1, r)
 
 
-def _family_odd(d: int) -> IntMatrix:
-    k = d - 1
-    ms = [multiset_number(d, r) for r in range(k)]
-
-    def entry(i, j):
-        if i < j:
-            return -sum(ms[r] * ms[(j - i) + r] for r in range(i))
-        if i == j:
-            return -sum(ms[r] ** 2 for r in range(1, i))
-        return (
-            -sum(ms[(i - j) + r] * ms[r] for r in range(1, j))
-            + ms[i - j]
-        )
-
-    return IntMatrix([[entry(i, j) for j in range(1, k + 1)] for i in range(1, k + 1)])
-
-
-def _family_even(d: int) -> IntMatrix:
-    k = d - 1
-    ms = [multiset_number(d, r) for r in range(k)]
-
-    def entry(i, j):
-        if i < j:
-            return sum(ms[r] * ms[(j - i) + r] for r in range(i))
-        if i == j:
-            return -2 + sum(ms[r] ** 2 for r in range(1, i))
-        return (
-            sum(ms[(i - j) + r] * ms[r] for r in range(1, j))
-            - ms[i - j]
-        )
-
-    return IntMatrix([[entry(i, j) for j in range(1, k + 1)] for i in range(1, k + 1)])
-
-
 def family_matrix_closed_form(d: int) -> IntMatrix:
     """Closed-form (d-1)x(d-1) matrix for n = d with all weights 1.
 
-    Evaluates the published formulas verbatim (odd-d and even-d variants);
-    whether they match the pipeline matrix is checked by verify_paper, not
-    assumed here.
+    Evaluates the published formulas.  Their odd-d and even-d variants are
+    M = s * X - Id, s = (-1)**(d-1), for one X, the printed stand-in for
+    C @ (C^-1)^T, in multiset numbers m_r = multiset_number(d, r): with
+    e = |i - j| and 1-based i, j, X[i][j] = +-m_e - sum_(0<r<min(i, j))
+    m_r * m_(e+r), the sign + for i >= j.  Whether the result matches the
+    pipeline matrix is checked by verify_paper, not assumed here; it does
+    only at d = 3.
     """
     d = operator.index(d)
     if d < 3:
         raise DimensionTooSmall(f"closed-form family needs d >= 3, got {d}")
-    return _family_odd(d) if d % 2 == 1 else _family_even(d)
+    sign = 1 if d % 2 == 1 else -1
+    ms = [multiset_number(d, r) for r in range(d - 1)]
+
+    def x(i, j):
+        if i < j:
+            return -sum(map(operator.mul, ms[:i], ms[j - i:]))
+        return ms[i - j] - sum(map(operator.mul, ms[1:j], ms[i - j + 1:]))
+
+    return IntMatrix([[sign * x(i, j) - (i == j) for j in range(1, d)] for i in range(1, d)])
 
 
 def _groups_from_divisors(divisors, q: int) -> FiniteAbelianGroup:
@@ -458,11 +432,7 @@ class VerificationReport:
             "schema_version": 1,
             "verification": {
                 "fixture": self.fixture,
-                "params": {
-                    "n": self.params.n,
-                    "d": self.params.d,
-                    "weights": list(self.params.weights),
-                },
+                "params": self.params.to_json_dict(),
                 "reference_matrix": self.reference_matrix.to_lists(),
                 "computed_matrix": self.computed_matrix.to_lists(),
                 "agree": self.agree,

@@ -21,8 +21,8 @@ the inverse solves its first column only, in O(k * z), and each row of
 C @ (C^-1)^T is the row above shifted right plus z products, so the rows
 of C and C^-1 are never built, and M costs O(k^2) list copying and
 O(k * z) multiplications.  A matrix without a recorded column takes the
-general route, O(k^2 * z) for z the most nonzeros in a row or column of
-C^-1, and O(k^3) for a dense inverse.
+definitions: the inverse in O(k^2 * z) for z the most nonzeros in a column
+of C^-1, and M as a dense product in O(k^3).
 
 Smith divisors of a square nonsingular matrix are computed with bounded
 entries: +-1 pivots over Z, taken from the shortest rows, then the
@@ -300,12 +300,8 @@ def theorem_matrix(c: IntMatrix, d: int) -> IntMatrix:
     X[i-1][j-1] + p_i * q_j; Id obeys the same recurrence with 1 in place
     of p_0 * q_0.  So row i of M is row i - 1 shifted right by one plus
     sign * p_i times the z nonzeros of q: O(k^2) list copying and O(k * z)
-    multiplications, with z <= 2^d for a Cartan matrix.  Any other C takes
-    the general route: column j is sign * sum_t Q[j][t] * (column t of C)
-    minus the j-th unit vector, summed over the nonzeros of row j of Q
-    only, and the columns are transposed once at the end.  That costs
-    O(k^2 * z) for z the most nonzeros in a row of Q, and O(k^3) for a
-    dense Q.
+    multiplications, with z <= 2^d for a Cartan matrix.  Any other C is
+    taken by the definition, with a dense product: O(k^3).
     """
     d = operator.index(d)
     if d < 2:
@@ -324,19 +320,7 @@ def theorem_matrix(c: IntMatrix, d: int) -> IntMatrix:
             row.insert(0, 0)
             row.pop()
         return _unchecked(tuple(rows))
-    c_cols = list(zip(*c.entries))
-    cols = []
-    for j, q_row in enumerate(q.entries):
-        col = [0] * k
-        for t, x in enumerate(q_row):
-            if x:
-                f = sign * x
-                c_col = c_cols[t]
-                for i in range(t, k):
-                    col[i] += f * c_col[i]
-        col[j] -= 1
-        cols.append(col)
-    return _unchecked(tuple(zip(*cols)))
+    return sign * (c @ q.transpose()) - IntMatrix.identity(k)
 
 
 def determinant(m: IntMatrix) -> int:

@@ -58,6 +58,10 @@ class QuotientParams:
         """Number of quiver vertices after truncation, n - 1."""
         return self.n - 1
 
+    def to_json_dict(self) -> dict:
+        """The ``params`` object of every JSON output."""
+        return {"n": self.n, "d": self.d, "weights": list(self.weights)}
+
 
 @dataclass(frozen=True)
 class PrimePower:

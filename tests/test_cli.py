@@ -361,6 +361,22 @@ def test_sweep_range_too_large(capsys):
     assert "RangeTooLarge" in err
 
 
+@pytest.mark.parametrize(
+    "flags, error",
+    [
+        (("--primes", "2", "--max-cells", "-5"), "InputError: --max-cells must be at least 1"),
+        (("--primes", "2", "--jobs", "-3"), "InputError: --jobs must be at least 1"),
+        (("--primes", "2", "--jobs", "0"), "InputError: --jobs must be at least 1"),
+        # No prime reads the exponent, and it is still refused.
+        (("--primes", "", "--exponent", "0"), "NonPositiveExponent"),
+    ],
+)
+def test_sweep_refuses_a_count_flag_below_one(capsys, flags, error):
+    code, out, err = run_cli(capsys, "sweep", "--n", "3-5", *flags)
+    assert (code, out) == (2, "")
+    assert error in err
+
+
 def test_sweep_refuses_an_oversized_grid_before_enumerating_it(capsys, monkeypatch):
     drawn = []
     iter_weight_tuples = ksing.cli.iter_weight_tuples

@@ -38,7 +38,6 @@ from ksing import (
     validate_prime_power,
     verify_paper,
 )
-from ksing.ktheory import _family_even, _family_odd
 
 from conftest import (
     all_valid_params,
@@ -285,14 +284,6 @@ class TestFamilyClosedForm:
     def test_dimension_guard(self):
         with pytest.raises(DimensionTooSmall):
             family_matrix_closed_form(2)
-
-    def test_even_odd_formula_relation(self):
-        # evaluated at the same d, the two printed variants differ by
-        # an overall sign and -2 on the diagonal
-        for d in range(3, 9):
-            odd = _family_odd(d)
-            even = _family_even(d)
-            assert even == -odd - 2 * IntMatrix.identity(d - 1)
 
     @pytest.mark.parametrize("d", range(3, 31))
     def test_tabled_formulas_match_a_direct_evaluation(self, d):

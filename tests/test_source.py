@@ -81,8 +81,9 @@ def test_unchecked_rows_are_wrapped_only_inside_linalg():
 
 
 def test_cartan_matrix_and_its_inverse_record_their_first_column():
-    # Without a recorded column, unipotent_inverse and theorem_matrix fall
-    # back to the general route: the same answers, but O(k^2 * z).
+    # Without a recorded column, unipotent_inverse solves every column and
+    # theorem_matrix takes its definition, a dense product: the same
+    # answers, but O(k^3).
     c = ksing.cartan_matrix([1, 1, 3, 3])
     inverse = ksing.unipotent_inverse(c)
     assert c.first_column == (1, 1, 3, 3)

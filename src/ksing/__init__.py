@@ -3,7 +3,8 @@
 Pipeline: validated parameters -> truncated quiver -> path-count (Cartan)
 matrix -> the integer matrix M -> kernel/cokernel over Z/l^nu, plus
 closed-form family matrices, a published reference fixture, and a
-verification mode that reports discrepancies between the two.
+verification mode that reports discrepancies between the two.  The result
+types (QuotientParams, KTheoryReport, ...) are immutable named tuples.
 """
 
 from .cartan import (

@@ -55,7 +55,7 @@ def path_counts_bruteforce(q: Quiver, cap: int = 10_000_000) -> list[int]:
         raise InputError(f"raw path cap must be nonnegative, got {cap}")
     if q.vertex_count < 1:
         raise InputError("quiver has no vertices")
-    if any(not 1 <= a.source < a.target <= q.vertex_count for a in q.arrows):
+    if any(not 1 <= source < target <= q.vertex_count for source, target, _ in q.arrows):
         raise InputError(f"arrows must go up within vertices 1..{q.vertex_count}")
     arrows = sorted(q.arrows, key=lambda a: a.target)
 
@@ -64,16 +64,16 @@ def path_counts_bruteforce(q: Quiver, cap: int = 10_000_000) -> list[int]:
     for start in range(1, q.vertex_count + 1):
         paths = {start: 1}
         classes: dict[int, set[tuple[int, ...]]] = {start: {()}}
-        for a in arrows:
-            if a.source in paths:
-                raw += paths[a.source]
+        for source, target, letter in arrows:
+            if source in paths:
+                raw += paths[source]
                 if raw > cap:
                     raise PathExplosion(
                         f"more than {cap} raw paths; raise the cap to continue"
                     )
-                paths[a.target] = paths.get(a.target, 0) + paths[a.source]
-                classes.setdefault(a.target, set()).update(
-                    tuple(sorted(c + (a.letter,))) for c in classes[a.source]
+                paths[target] = paths.get(target, 0) + paths[source]
+                classes.setdefault(target, set()).update(
+                    tuple(sorted(c + (letter,))) for c in classes[source]
                 )
         per_start[start] = {v - start: len(cls) for v, cls in classes.items()}
 

@@ -3,8 +3,8 @@
 Subcommands expose each pipeline stage (quiver, cartan, matrix, snf), the
 end-to-end computation (compute), the reference comparison (verify-paper),
 and batch exploration over parameter grids (sweep).  Data goes to stdout,
-diagnostics to stderr.  Exit codes: 0 success, 2 invalid input, 3 internal
-error.
+diagnostics to stderr.  Exit codes: 0 success, 1 stdout closed by its
+reader, 2 invalid input, 3 internal error.
 """
 
 from __future__ import annotations
@@ -423,7 +423,10 @@ def _sweep_params(args) -> Iterator[QuotientParams]:
 
 
 def _check_sweep_flags(args) -> None:
-    """Refuse a count flag below 1, even where no cell would read it."""
+    """Refuse a --d that the weights mode would drop, and a count flag
+    below 1 even where no cell would read it."""
+    if args.d is not None and args.weights_mode == "ones":
+        raise InputError("--d applies only to --weights-mode all; 'ones' takes d = n")
     if args.exponent < 1:
         raise NonPositiveExponent(f"exponent nu must be >= 1, got {args.exponent}")
     for flag, value in (("--max-cells", args.max_cells), ("--jobs", args.jobs)):
@@ -489,7 +492,16 @@ def main(argv=None) -> int:
     if limit is not None:
         sys.set_int_max_str_digits(0)
     try:
-        return _DISPATCH[args.command](args)
+        code = _DISPATCH[args.command](args)
+        sys.stdout.flush()  # here, so that a closed stdout is caught below
+        return code
+    except BrokenPipeError:
+        # The reader left early (``| head``).  Send what is still buffered to
+        # devnull, so that the flush at exit does not fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except InputError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

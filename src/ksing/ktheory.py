@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .cartan import cartan_matrix, path_counts_gf
 from .errors import InputError
@@ -59,8 +58,7 @@ LOW_DIM_PRINTED_MATRIX = IntMatrix(
 LOW_DIM_PRINTED_DET = 26
 
 
-@dataclass(frozen=True)
-class FiniteAbelianGroup:
+class FiniteAbelianGroup(NamedTuple):
     """Finite abelian group in invariant-factor form.
 
     ``invariant_factors`` is an ascending divisibility chain of integers
@@ -112,8 +110,7 @@ class FiniteAbelianGroup:
 TRIVIAL_GROUP = FiniteAbelianGroup(())
 
 
-@dataclass(frozen=True)
-class CorollaryNote:
+class CorollaryNote(NamedTuple):
     """One logical consequence drawn from the computed groups.
 
     ``conclusion`` is "i" (some nonzero mod-q group at parity ``parity``
@@ -128,8 +125,7 @@ class CorollaryNote:
     statement: str
 
 
-@dataclass(frozen=True)
-class KTheoryReport:
+class KTheoryReport(NamedTuple):
     params: QuotientParams
     coefficient: PrimePower
     matrix_source: str
@@ -144,25 +140,14 @@ class KTheoryReport:
         return {
             "schema_version": 1,
             "params": self.params.to_json_dict(),
-            "coefficient": {
-                "l": self.coefficient.l,
-                "nu": self.coefficient.nu,
-                "q": self.coefficient.q,
-            },
+            "coefficient": self.coefficient._asdict(),
             "matrix_source": self.matrix_source,
             "matrix": self.matrix.to_lists(),
             "divisors": list(self.divisors),
             "even_group": list(self.even_group.invariant_factors),
             "odd_group": list(self.odd_group.invariant_factors),
             "negative_degrees": list(self.negative_degrees.invariant_factors),
-            "corollary": [
-                {
-                    "conclusion": note.conclusion,
-                    "parity": note.parity,
-                    "statement": note.statement,
-                }
-                for note in self.corollary_notes
-            ],
+            "corollary": [note._asdict() for note in self.corollary_notes],
             "verification": None,
         }
 
@@ -406,8 +391,7 @@ def compute_ktheory(
     )
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Outcome of comparing a reference matrix against the pipeline.
 
     Disagreement is a report outcome, never an exception; entry_diffs
@@ -470,9 +454,11 @@ def verify_paper(fixture: str, d: Optional[int] = None) -> VerificationReport:
     pipeline matrix satisfies for odd d and even size.
 
     fixture "family": the closed-form matrix for the given d versus the
-    pipeline at n = d with all weights 1.
+    pipeline at n = d with all weights 1.  Only "family" takes a d.
     """
     if fixture == "low-dim-example":
+        if d is not None:
+            raise InputError(f"fixture 'low-dim-example' takes no dimension d, got {d}")
         params = LOW_DIM_PARAMS
         reference = LOW_DIM_PRINTED_MATRIX
     elif fixture == "family":

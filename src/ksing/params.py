@@ -10,9 +10,8 @@ sorted or deduplicated.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from math import gcd
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import InputError
 
@@ -45,8 +44,7 @@ class PrimeOutOfRange(InputError):
     """Primality is decided deterministically only for l < 2**64."""
 
 
-@dataclass(frozen=True)
-class QuotientParams:
+class QuotientParams(NamedTuple):
     """Validated data (n, d, a_1..a_d) of a cyclic quotient singularity."""
 
     n: int
@@ -63,8 +61,7 @@ class QuotientParams:
         return {"n": self.n, "d": self.d, "weights": list(self.weights)}
 
 
-@dataclass(frozen=True)
-class PrimePower:
+class PrimePower(NamedTuple):
     """A coefficient modulus q = l**nu with l prime and nu >= 1."""
 
     l: int

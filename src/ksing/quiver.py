@@ -10,13 +10,12 @@ square at (i, j, j') exactly when i + a_j + a_j' <= n - 1.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .params import QuotientParams
 
 
-@dataclass(frozen=True, order=True)
-class Arrow:
+class Arrow(NamedTuple):
     """Arrow source -> target carrying the 1-based weight index ``letter``."""
 
     source: int
@@ -24,8 +23,7 @@ class Arrow:
     letter: int
 
 
-@dataclass(frozen=True, order=True)
-class Relation:
+class Relation(NamedTuple):
     """Surviving commutation square based at ``vertex``.
 
     Identifies the two length-2 paths using letters ``first_letter`` and
@@ -37,8 +35,7 @@ class Relation:
     second_letter: int
 
 
-@dataclass(frozen=True)
-class Quiver:
+class Quiver(NamedTuple):
     vertex_count: int
     arrows: tuple[Arrow, ...]
     relations: tuple[Relation, ...]
@@ -46,19 +43,19 @@ class Quiver:
 
 def build_quiver(params: QuotientParams) -> Quiver:
     """Construct the truncated quiver for validated parameters."""
-    n = params.n
+    n, d, weights = params
     arrows = tuple(
         Arrow(i, i + a, j)
         for i in range(1, n)
-        for j, a in enumerate(params.weights, 1)
+        for j, a in enumerate(weights, 1)
         if i + a <= n - 1
     )
     relations = tuple(
         Relation(i, j, jp)
         for i in range(1, n)
-        for j in range(1, params.d + 1)
-        for jp in range(j + 1, params.d + 1)
-        if i + params.weights[j - 1] + params.weights[jp - 1] <= n - 1
+        for j in range(1, d + 1)
+        for jp in range(j + 1, d + 1)
+        if i + weights[j - 1] + weights[jp - 1] <= n - 1
     )
     return Quiver(n - 1, arrows, relations)
 
@@ -78,18 +75,8 @@ def export_quiver(q: Quiver, format: str) -> str:
     if format == "json":
         payload = {
             "vertex_count": q.vertex_count,
-            "arrows": [
-                {"source": a.source, "target": a.target, "letter": a.letter}
-                for a in q.arrows
-            ],
-            "relations": [
-                {
-                    "vertex": r.vertex,
-                    "first_letter": r.first_letter,
-                    "second_letter": r.second_letter,
-                }
-                for r in q.relations
-            ],
+            "arrows": [a._asdict() for a in q.arrows],
+            "relations": [r._asdict() for r in q.relations],
         }
         return json.dumps(payload, indent=2) + "\n"
     raise ValueError(f"unknown quiver format {format!r}")

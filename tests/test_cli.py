@@ -2,9 +2,12 @@ import csv
 import io
 import json
 import multiprocessing
+import os
+import subprocess
 import sys
 import tracemalloc
 import typing
+from pathlib import Path
 
 import pytest
 
@@ -221,6 +224,38 @@ def test_verify_paper_family_needs_d(capsys):
     code, _, err = run_cli(capsys, "verify-paper", "--fixture", "family")
     assert code == 2
     assert "family" in err
+
+
+def test_verify_paper_refuses_d_for_the_low_dim_example(capsys):
+    code, out, err = run_cli(
+        capsys, "verify-paper", "--fixture", "low-dim-example", "--d", "7"
+    )
+    assert code == 2
+    assert out == ""
+    assert "no dimension" in err
+
+
+def test_sweep_refuses_d_in_weights_mode_ones(capsys):
+    code, out, err = run_cli(capsys, "sweep", "--n", "3-4", "--d", "2", "--primes", "2")
+    assert code == 2
+    assert out == ""
+    assert "--weights-mode all" in err
+
+
+def test_closed_stdout_exits_1_without_a_message():
+    # The reader of stdout is gone before the first write, as after ``| head``.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {**os.environ, "PYTHONPATH": str(Path(ksing.cli.__file__).parents[1])}
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ksing.cli", "sweep", "--n", "3-9", "--primes", "2,3"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == ""
 
 
 def test_sweep_family_rows(capsys):

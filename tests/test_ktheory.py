@@ -1,6 +1,7 @@
 import doctest
 import itertools
 import json
+import pickle
 from math import gcd, prod
 
 import pytest
@@ -258,6 +259,30 @@ class TestComputeKTheory:
         assert payload["schema_version"] == 1
         assert KTheoryReport.from_json_dict(payload) == report
 
+    def test_reports_are_immutable_values(self):
+        report = compute_ktheory(LOW_DIM_PARAMS, validate_prime_power(5, 1))
+        for obj, field in (
+            (report, "divisors"),
+            (report.even_group, "invariant_factors"),
+            (report.corollary_notes[0], "statement"),
+        ):
+            with pytest.raises(AttributeError):
+                setattr(obj, field, ())
+        same = compute_ktheory(validate_params(5, 3, [1, 2, 2]), validate_prime_power(5, 1))
+        assert report == same and hash(report) == hash(same)
+        assert repr(report.even_group) == "FiniteAbelianGroup(invariant_factors=(5, 5))"
+
+    def test_report_pickle_round_trip(self):
+        # Lazily built Toeplitz rows and family matrices alike.
+        for params, source in (
+            (validate_params(61, 2, (1, 60)), "theorem-pipeline"),
+            (validate_params(6, 6, (1,) * 6), "closed-form-family"),
+        ):
+            report = compute_ktheory(params, validate_prime_power(3, 2), source)
+            copy = pickle.loads(pickle.dumps(report))
+            assert copy == report and type(copy) is KTheoryReport
+            assert copy.to_json_dict() == report.to_json_dict()
+
 
 class TestFamilyClosedForm:
     def test_d3_matrix(self):
@@ -365,6 +390,15 @@ class TestVerifyPaper:
             verify_paper("family")
         with pytest.raises(InputError):
             verify_paper("nonsense")
+        with pytest.raises(InputError, match="no dimension"):
+            verify_paper("low-dim-example", 7)
+
+    def test_reports_are_immutable_values(self):
+        report = verify_paper("family", 5)
+        with pytest.raises(AttributeError):
+            report.agree = True
+        same = verify_paper("family", 5)
+        assert report == same and hash(report) == hash(same)
 
     def test_json_payload(self):
         payload = verify_paper("low-dim-example").to_json_dict()

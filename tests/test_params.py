@@ -129,3 +129,18 @@ def test_non_integer_inputs_rejected():
         validate_params(5, 3, [1.5, 2, 1.5])
     with pytest.raises(TypeError):
         validate_prime_power(3.0, 1)
+
+
+def test_params_are_immutable_values():
+    p = validate_params(5, 3, (1, 2, 2))
+    with pytest.raises(AttributeError):
+        p.n = 7
+    same = validate_params(5, 3, [1, 2, 2])
+    assert p == same and hash(p) == hash(same)
+    assert repr(p) == "QuotientParams(n=5, d=3, weights=(1, 2, 2))"
+    coeff = validate_prime_power(3, 2)
+    with pytest.raises(AttributeError):
+        coeff.q = 10
+    assert coeff == validate_prime_power(3, 2)
+    assert hash(coeff) == hash(validate_prime_power(3, 2))
+    assert repr(coeff) == "PrimePower(l=3, nu=2, q=9)"

@@ -105,3 +105,29 @@ def test_parallel_arrows_from_equal_weights_are_distinct():
     assert Arrow(1, 3, 2) in q.arrows
     assert Arrow(1, 3, 3) in q.arrows
     assert Relation(1, 1, 2) in q.relations
+
+
+def test_arrows_and_relations_are_immutable_values():
+    q = build_quiver(validate_params(5, 3, [1, 2, 2]))
+    for obj, field in ((q, "vertex_count"), (q.arrows[0], "source"), (q.relations[0], "vertex")):
+        with pytest.raises(AttributeError):
+            setattr(obj, field, 9)
+    same = build_quiver(validate_params(5, 3, (1, 2, 2)))
+    assert q == same and hash(q) == hash(same)
+    assert repr(q.arrows[0]) == "Arrow(source=1, target=2, letter=1)"
+    assert repr(q.relations[0]) == "Relation(vertex=1, first_letter=1, second_letter=2)"
+
+
+def test_arrows_and_relations_sort_by_their_fields_in_order():
+    # Source, then target, then letter; vertex, then the two letters.
+    q = build_quiver(validate_params(7, 3, [3, 1, 3]))
+    assert sorted(reversed(q.arrows)) == [
+        Arrow(*t)
+        for t in [
+            (1, 2, 2), (1, 4, 1), (1, 4, 3), (2, 3, 2), (2, 5, 1), (2, 5, 3),
+            (3, 4, 2), (3, 6, 1), (3, 6, 3), (4, 5, 2), (5, 6, 2),
+        ]
+    ]
+    assert sorted(reversed(q.relations)) == [
+        Relation(*t) for t in [(1, 1, 2), (1, 2, 3), (2, 1, 2), (2, 2, 3)]
+    ]

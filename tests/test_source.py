@@ -91,12 +91,23 @@ def test_cartan_matrix_and_its_inverse_record_their_first_column():
     assert inverse.entries[3] == (2, -2, -1, 1)
 
 
-def test_cli_import_leaves_multiprocessing_out():
-    # The sweep imports multiprocessing only for --jobs > 1; at import it
-    # is most of what ``import ksing.cli`` costs.
-    code = "import sys, ksing.cli; print('multiprocessing' in sys.modules)"
+def _loaded_by_import(module: str) -> str:
+    """What ``module in sys.modules`` prints after ``import ksing, ksing.cli``."""
+    code = f"import sys, ksing, ksing.cli; print({module!r} in sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(SOURCE.parent)}
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
-    assert out.strip() == "False"
+    return out.strip()
+
+
+def test_cli_import_leaves_multiprocessing_out():
+    # The sweep imports multiprocessing only for --jobs > 1; at import it
+    # is most of what ``import ksing.cli`` costs.
+    assert _loaded_by_import("multiprocessing") == "False"
+
+
+def test_import_leaves_dataclasses_out():
+    # A frozen dataclass generates and compiles its methods at every import,
+    # about 1 ms a class; the result types are named tuples instead.
+    assert _loaded_by_import("dataclasses") == "False"

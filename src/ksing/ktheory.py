@@ -6,7 +6,8 @@ acting on (Z/q)**(n-1); all negative-degree groups vanish.  Kernel and
 cokernel are read off the integral Smith normal form: both are isomorphic
 to the direct sum of Z/gcd(d_i, q) over the divisors d_i (gcd(0, q) = q).
 The divisors of the pipeline matrix depend only on (n, d) and come from a
-(d-1)x(d-1) Toeplitz matrix (``pipeline_divisors``).
+(d-1)x(d-1) Toeplitz matrix, or from one small block per prime dividing n
+(``pipeline_divisors``).
 
 Besides the quiver pipeline, M can be taken from the closed-form family
 matrices for n = d with all weights 1, or from the immutable reference
@@ -277,6 +278,32 @@ def pipeline_divisors(n: int, d: int) -> tuple[int, ...]:
         nonzero eigenvalues over n.  As prod_(zeta != 1) (1 - zeta**a) = n
         for gcd(a, n) = 1, det M = (-1)**(n-1) * n**(d-1).
 
+    Prime by prime.  Write m = d - 1 and q = l**v for each prime power
+    l**v || n.  Where the content of G is 1 and the q - 1 add up to less
+    than m, the divisors come from one (q-1)x(q-1) block per q (g) instead
+    of G itself; every other (n, d) takes the Smith form of G.
+
+    (f) g_n(y) = prod Phi_e(1 - y) over the divisors e > 1 of n, and in
+        Z_l[y]/(y**m) an element is a unit exactly when its constant term
+        is; Phi_e(1) is p for e = p**k and 1 otherwise, so g_n = unit * g_q
+        there.  Hence the l-part of coker G(n, d) is Z_l[y]/(y**m, g_q),
+        which is coker G(q, d): that is an l-group, of order
+        det G(q, d) = q**m.  So coker G(n, d) is the direct sum of the
+        coker G(q, d), of coprime orders, and with each chain of m divisors
+        ascending, the divisors of G are their entry-by-entry products.
+    (g) The coefficient of y**(q-1) in g_q is (-1)**(q-1) C(q, q) = +-1, so
+        Z[y]/(g_q) is free on 1, y, ..., y**(q-2), and Z[y]/(y**m, g_q) is
+        the cokernel of multiplication by y**m there: the block whose row
+        i holds the coefficients of y**(m+i) mod g_q (_companion_block).
+        Its cokernel is generated by 1, ..., y**(m-1), so for q - 1 <= m
+        its q - 1 divisors, after m - q + 1 ones, are those of G(q, d).
+    (h) The content c of G is the gcd of its first column C(n, j),
+        0 < j <= m, and c = 1 exactly when every q <= m.  c divides
+        C(n, 1) = n.  For 0 < j < q, j C(n, j) = n C(n - 1, j - 1) gives
+        v_l(C(n, j)) >= v - v_l(j) > 0, so l | c when q > m.  By Lucas,
+        C(n, q) = n / q, a unit, modulo l, so l does not divide c when
+        q <= m.
+
     >>> pipeline_divisors(5, 3)
     (1, 1, 5, 5)
     """
@@ -284,8 +311,45 @@ def pipeline_divisors(n: int, d: int) -> tuple[int, ...]:
     d = operator.index(d)
     if not 2 <= d <= n:
         raise InputError(f"need 2 <= d <= n, got n = {n}, d = {d}")
-    g = [(-1) ** i * math.comb(n, i + 1) for i in range(d - 1)]
+    m = d - 1
+    g = [(-1) ** i * math.comb(n, i + 1) for i in range(m)]
+    if math.gcd(*g) == 1:
+        # By (h) every prime power q || n is at most m, so n factors over 2..m.
+        parts, rest = [], n
+        for p in range(2, m + 1):
+            q = 1
+            while rest % p == 0:
+                rest //= p
+                q *= p
+            if q > 1:
+                parts.append(q)
+        if sum(parts) - len(parts) < m:
+            chain = [1] * m
+            for q in parts:
+                block = smith_normal_form(_companion_block(q, m)).divisors
+                for i, x in enumerate(block, m - q + 1):
+                    chain[i] *= x
+            return (1,) * (n - d) + tuple(chain)
     return (1,) * (n - d) + smith_normal_form(IntMatrix.lower_toeplitz(g)).divisors
+
+
+def _companion_block(q: int, m: int) -> IntMatrix:
+    """Row i holds the coefficients of y**(m + i) mod g_q, for i < q - 1.
+
+    g_q has leading coefficient (-1)**(q-1) at y**(q-1), so y**(q-1) is
+    sum_j (-1)**(q+j) C(q, j + 1) y**j modulo g_q; see pipeline_divisors (g).
+    """
+    top = [(-1) ** (q + j) * math.comb(q, j + 1) for j in range(q - 1)]
+    r = [1] + [0] * (q - 2)
+    rows = []
+    for k in range(1, m + q - 1):
+        t = r[-1]
+        r = [0] + r[:-1]
+        if t:
+            r = [x + t * c for x, c in zip(r, top)]
+        if k >= m:
+            rows.append(r)
+    return IntMatrix(rows)
 
 
 def pipeline_determinant(n: int, d: int) -> int:

@@ -419,11 +419,12 @@ def smith_normal_form(m: IntMatrix) -> SnfDecomposition:
     remains (see determinant), its content c, and an elimination of A / c
     modulo R / c**k with extended gcds (Hafner-McCurley).  As SNF(c * B) =
     c * SNF(B), each divisor of A is c times one of A / c, and R / c**k = 1
-    leaves nothing to eliminate, as for the G of ktheory.pipeline_divisors
-    at prime n.  A singular or non-square m goes straight to the
-    certificate elimination, which also gives the trailing zero divisors
-    (gcd(0, q) = q downstream).  Reading U, D or V of the result runs that
-    elimination, whose entries are unbounded.
+    leaves nothing to eliminate, as for G(n, d) of ktheory.pipeline_divisors
+    at prime n, which is n times a unipotent matrix.  A singular or
+    non-square m goes straight to the certificate elimination, which also
+    gives the trailing zero divisors (gcd(0, q) = q downstream).  Reading
+    U, D or V of the result runs that elimination, whose entries are
+    unbounded.
     """
     if m.is_square:
         block = _unit_pivot_block(m)
@@ -453,7 +454,9 @@ def _unit_pivot_block(m: IntMatrix) -> tuple[tuple[int, ...], ...]:
     and drops its row and column, until no +-1 entry is left.  With every
     pivot a unit, the block left is a Schur complement whose entries are
     minors of m, so they stay within the Hadamard bound.  An m without a
-    +-1 entry, such as the G of ktheory.pipeline_divisors, is the block.
+    +-1 entry is the block; so is every matrix ktheory.pipeline_divisors
+    passes: G(n, d), whose entries are +-C(n, j) with 0 < j < n, and the
+    companion blocks of g_(l**v), whose entries are all divisible by l.
     """
     # A recorded first column holds every nonzero entry of the matrix.
     lines = m.entries if m.first_column is None else (m.first_column,)

@@ -9,7 +9,6 @@ square at (i, j, j') exactly when i + a_j + a_j' <= n - 1.
 
 from __future__ import annotations
 
-import json
 from typing import NamedTuple
 
 from .params import QuotientParams
@@ -73,6 +72,8 @@ def export_quiver(q: Quiver, format: str) -> str:
         lines.append("}")
         return "\n".join(lines) + "\n"
     if format == "json":
+        import json
+
         payload = {
             "vertex_count": q.vertex_count,
             "arrows": [a._asdict() for a in q.arrows],
@@ -84,6 +85,8 @@ def export_quiver(q: Quiver, format: str) -> str:
 
 def quiver_from_json(text: str) -> Quiver:
     """Inverse of export_quiver(..., 'json')."""
+    import json
+
     payload = json.loads(text)
     return Quiver(
         vertex_count=payload["vertex_count"],

@@ -2,7 +2,7 @@ import doctest
 import itertools
 import json
 import pickle
-from math import gcd, prod
+from math import comb, gcd, prod
 
 import pytest
 from hypothesis import assume, given, settings
@@ -559,7 +559,7 @@ def test_pipeline_divisors_on_random_parameters(params):
 
 
 def test_pipeline_divisors_count_the_l_primary_summands():
-    # ROADMAP item 2's closed form, from no elimination: modulo l, g_n is a
+    # ROADMAP item 4's summand count, from no elimination: modulo l, g_n is a
     # unit times y**(l**v - 1) for v = v_l(n), so exactly
     # min(l**v - 1, d - 1) divisors of G are divisible by l.
     checked = 0
@@ -574,6 +574,83 @@ def test_pipeline_divisors_count_the_l_primary_summands():
                 assert count == min(l**v - 1, d - 1), (n, d, l)
                 checked += 1
     assert checked == 4134
+
+
+def _prime_power_parts(n):
+    """{l: v} with l**v || n, by trial division."""
+    parts, p = {}, 2
+    while n > 1:
+        while n % p == 0:
+            n //= p
+            parts[p] = parts.get(p, 0) + 1
+        p += 1
+    return parts
+
+
+def test_prime_by_prime_route_matches_the_smith_form_of_g():
+    # pipeline_divisors takes one block per prime power where G's content
+    # is 1 (proof (f)-(h)); the Smith form of G itself is the old route.
+    checked = 0
+    for n in range(2, 41):
+        for d in range(2, n + 1):
+            g = [(-1) ** i * comb(n, i + 1) for i in range(d - 1)]
+            want = (1,) * (n - d) + smith_normal_form(IntMatrix.lower_toeplitz(g)).divisors
+            assert pipeline_divisors(n, d) == want, (n, d)
+            checked += 1
+    assert checked == 780
+
+
+def test_content_of_g_is_one_exactly_when_every_prime_power_fits():
+    # Proof (h): gcd_(0<j<=d-1) C(n, j) = 1 exactly when every l**v || n
+    # is at most d - 1.
+    checked = 0
+    for n in range(2, 200):
+        largest = max(l**v for l, v in _prime_power_parts(n).items())
+        content = 0
+        for d in range(2, n + 1):
+            content = gcd(content, comb(n, d - 1))
+            assert (content == 1) == (largest <= d - 1), (n, d)
+            checked += 1
+    assert checked == 19701
+
+
+def test_l_part_at_v_1_is_the_closed_form():
+    # ROADMAP item 3's closed form, an oracle only: for v_l(n) = 1 the
+    # l-part is Z_l[zeta_l]/(pi**(d-1)), i.e. (Z/l**(q+1))**r + (Z/l**q)**(l-1-r)
+    # with d - 1 = q (l - 1) + r.
+    def l_part(x, l):
+        part = 1
+        while x % l == 0:
+            x //= l
+            part *= l
+        return part
+
+    checked = 0
+    for n in range(2, 200):
+        parts = _prime_power_parts(n)
+        primes = [l for l in (2, 3, 5, 7, 11, 13) if parts.get(l) == 1]
+        if not primes:
+            continue
+        for d in range(2, min(n, 40) + 1):
+            divisors = pipeline_divisors(n, d)
+            for l in primes:
+                q, r = divmod(d - 1, l - 1)
+                want = [1] * (n - l) + [l**q] * (l - 1 - r) + [l ** (q + 1)] * r
+                assert [l_part(x, l) for x in divisors] == want, (n, d, l)
+                checked += 1
+    assert checked == 6366
+
+
+@pytest.mark.parametrize("n", [120, 210, 240])
+def test_pipeline_divisors_reach_n_equals_d_in_the_hundreds(n):
+    # Eliminating all of G(n, n) takes 0.5 s to 10 s at these n on a 2-vCPU
+    # Xeon; these checks hold whichever route produced the divisors.
+    divisors = pipeline_divisors(n, n)
+    assert len(divisors) == n - 1
+    assert all(b % a == 0 for a, b in zip(divisors, divisors[1:]))
+    assert prod(divisors) == n ** (n - 1)
+    for l, v in _prime_power_parts(n).items():
+        assert sum(1 for x in divisors if x % l == 0) == min(l**v - 1, n - 1), l
 
 
 def test_pipeline_divisors_refuses_d_outside_2_to_n():

@@ -240,10 +240,12 @@ class TestTrustBoundary:
         for params in sets:
             c = cartan_matrix(path_counts_gf(params))
             pipeline_divisors(params.n, params.d)
-            for m in (c, unipotent_inverse(c), theorem_matrix(c, params.d), gs.pop()):
+            assert gs
+            for m in (c, unipotent_inverse(c), theorem_matrix(c, params.d), *gs):
                 assert type(m.entries) is tuple
                 assert all(type(row) is tuple for row in m.entries)
                 assert all(type(x) is int for row in m.entries for x in row)
+            gs.clear()
 
     def test_rebuilt_toeplitz_takes_the_general_route(self):
         sets = all_valid_params(12) + [validate_params(*s) for s in FAMILY_AND_WIDE_SETS]

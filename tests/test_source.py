@@ -91,9 +91,9 @@ def test_cartan_matrix_and_its_inverse_record_their_first_column():
     assert inverse.entries[3] == (2, -2, -1, 1)
 
 
-def _loaded_by_import(module: str) -> str:
-    """What ``module in sys.modules`` prints after ``import ksing, ksing.cli``."""
-    code = f"import sys, ksing, ksing.cli; print({module!r} in sys.modules)"
+def _loaded_by_import(module: str, imports: str = "ksing, ksing.cli") -> str:
+    """What ``module in sys.modules`` prints after ``import <imports>``."""
+    code = f"import sys, {imports}; print({module!r} in sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(SOURCE.parent)}
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
@@ -111,3 +111,9 @@ def test_import_leaves_dataclasses_out():
     # A frozen dataclass generates and compiles its methods at every import,
     # about 1 ms a class; the result types are named tuples instead.
     assert _loaded_by_import("dataclasses") == "False"
+
+
+def test_import_leaves_json_out():
+    # Only the quiver's JSON export and import need json; ksing.cli loads
+    # it for its own output.
+    assert _loaded_by_import("json", "ksing") == "False"

@@ -249,7 +249,9 @@ def pipeline_divisors(n: int, d: int) -> tuple[int, ...]:
     triangular Toeplitz matrix with first column g_n mod y**(d-1); its
     diagonal is n and det G = n**(d-1).  The divisors of M are n - d ones
     followed by the divisors of G: coker M = Z[y]/(y**(d-1), g_n(y)),
-    whatever the weights are.  For prime n, n divides C(n, i + 1) for
+    whatever the weights are.  With D = diag((-1)**i), D G D is the
+    Toeplitz matrix of the C(n, i + 1), with the same divisors; that is the
+    one eliminated.  For prime n, n divides C(n, i + 1) for
     i < d - 1 <= n - 1, so G = n * (unipotent) and its divisors are d - 1
     copies of n, which smith_normal_form reads off G's content.
 
@@ -279,9 +281,10 @@ def pipeline_divisors(n: int, d: int) -> tuple[int, ...]:
         for gcd(a, n) = 1, det M = (-1)**(n-1) * n**(d-1).
 
     Prime by prime.  Write m = d - 1 and q = l**v for each prime power
-    l**v || n.  Where the content of G is 1 and the q - 1 add up to less
-    than m, the divisors come from one (q-1)x(q-1) block per q (g) instead
-    of G itself; every other (n, d) takes the Smith form of G.
+    l**v || n.  Where trial division up to m factors n and the q - 1 add
+    up to less than m, so that every q <= m, the divisors come from one
+    (q-1)x(q-1) block per q (g) instead of G itself; every other (n, d)
+    takes the Smith form of G.
 
     (f) g_n(y) = prod Phi_e(1 - y) over the divisors e > 1 of n, and in
         Z_l[y]/(y**m) an element is a unit exactly when its constant term
@@ -297,12 +300,6 @@ def pipeline_divisors(n: int, d: int) -> tuple[int, ...]:
         i holds the coefficients of y**(m+i) mod g_q (_companion_block).
         Its cokernel is generated by 1, ..., y**(m-1), so for q - 1 <= m
         its q - 1 divisors, after m - q + 1 ones, are those of G(q, d).
-    (h) The content c of G is the gcd of its first column C(n, j),
-        0 < j <= m, and c = 1 exactly when every q <= m.  c divides
-        C(n, 1) = n.  For 0 < j < q, j C(n, j) = n C(n - 1, j - 1) gives
-        v_l(C(n, j)) >= v - v_l(j) > 0, so l | c when q > m.  By Lucas,
-        C(n, q) = n / q, a unit, modulo l, so l does not divide c when
-        q <= m.
 
     >>> pipeline_divisors(5, 3)
     (1, 1, 5, 5)
@@ -312,24 +309,27 @@ def pipeline_divisors(n: int, d: int) -> tuple[int, ...]:
     if not 2 <= d <= n:
         raise InputError(f"need 2 <= d <= n, got n = {n}, d = {d}")
     m = d - 1
-    g = [(-1) ** i * math.comb(n, i + 1) for i in range(m)]
-    if math.gcd(*g) == 1:
-        # By (h) every prime power q || n is at most m, so n factors over 2..m.
-        parts, rest = [], n
-        for p in range(2, m + 1):
-            q = 1
-            while rest % p == 0:
-                rest //= p
-                q *= p
-            if q > 1:
-                parts.append(q)
-        if sum(parts) - len(parts) < m:
-            chain = [1] * m
-            for q in parts:
-                block = smith_normal_form(_companion_block(q, m)).divisors
-                for i, x in enumerate(block, m - q + 1):
-                    chain[i] *= x
-            return (1,) * (n - d) + tuple(chain)
+    parts, rest, p = [], n, 2
+    while p <= m and p * p <= rest:
+        q = 1
+        while rest % p == 0:
+            rest //= p
+            q *= p
+        if q > 1:
+            parts.append(q)
+        p += 1
+    if rest > 1:
+        # No prime below p divides rest, so a rest of at most m is a prime.
+        parts.append(rest)
+    # Blocks of m or more rows in all take longer than G (and need q <= m).
+    if sum(parts) - len(parts) < m:
+        chain = [1] * m
+        for q in parts:
+            block = smith_normal_form(_companion_block(q, m)).divisors
+            for i, x in enumerate(block, m - q + 1):
+                chain[i] *= x
+        return (1,) * (n - d) + tuple(chain)
+    g = [math.comb(n, i) for i in range(1, d)]  # D G D, see the statement
     return (1,) * (n - d) + smith_normal_form(IntMatrix.lower_toeplitz(g)).divisors
 
 

@@ -588,8 +588,9 @@ def _prime_power_parts(n):
 
 
 def test_prime_by_prime_route_matches_the_smith_form_of_g():
-    # pipeline_divisors takes one block per prime power where G's content
-    # is 1 (proof (f)-(h)); the Smith form of G itself is the old route.
+    # Both routes of pipeline_divisors against the Smith form of G built
+    # here: one block per prime power where the l**v - 1 add up to less
+    # than d - 1 (proof (f)-(g)), G itself elsewhere.
     checked = 0
     for n in range(2, 41):
         for d in range(2, n + 1):
@@ -598,20 +599,6 @@ def test_prime_by_prime_route_matches_the_smith_form_of_g():
             assert pipeline_divisors(n, d) == want, (n, d)
             checked += 1
     assert checked == 780
-
-
-def test_content_of_g_is_one_exactly_when_every_prime_power_fits():
-    # Proof (h): gcd_(0<j<=d-1) C(n, j) = 1 exactly when every l**v || n
-    # is at most d - 1.
-    checked = 0
-    for n in range(2, 200):
-        largest = max(l**v for l, v in _prime_power_parts(n).items())
-        content = 0
-        for d in range(2, n + 1):
-            content = gcd(content, comb(n, d - 1))
-            assert (content == 1) == (largest <= d - 1), (n, d)
-            checked += 1
-    assert checked == 19701
 
 
 def test_l_part_at_v_1_is_the_closed_form():

@@ -167,8 +167,8 @@ def build_parser() -> argparse.ArgumentParser:
     cartan.add_argument(
         "--bruteforce-cap",
         type=int,
-        default=10_000_000,
-        help="raw path cap for --check-bruteforce",
+        default=None,
+        help="raw path cap for --check-bruteforce (default 10000000)",
     )
 
     matrix = commands.add_parser("matrix", help="the matrix M and its determinant")
@@ -251,12 +251,15 @@ def _cmd_quiver(args) -> int:
 
 
 def _cmd_cartan(args) -> int:
+    cap = args.bruteforce_cap
+    if cap is not None and not args.check_bruteforce:
+        raise InputError("--bruteforce-cap applies only with --check-bruteforce")
     params = _params_from_args(args)
     counts = path_counts_gf(params)
     c = cartan_matrix(counts)
     checked = None
     if args.check_bruteforce:
-        brute = path_counts_bruteforce(build_quiver(params), cap=args.bruteforce_cap)
+        brute = path_counts_bruteforce(build_quiver(params), 10_000_000 if cap is None else cap)
         checked = brute == counts
     if args.format == "json":
         payload = {
@@ -300,6 +303,8 @@ def _cmd_matrix(args) -> int:
 
 def _cmd_snf(args) -> int:
     if args.fixture == "paper-low-dim":
+        if (args.n, args.d, args.weights) != (None,) * 3 or args.source != "pipeline":
+            raise InputError("--fixture takes no --n, --d, --weights or --source")
         m = ktheory.LOW_DIM_PRINTED_MATRIX
         label = "paper-low-dim fixture"
     else:

@@ -1,7 +1,7 @@
 """Exact integer matrix arithmetic.
 
-Dense matrices over Python's arbitrary-precision integers: products,
-transposes, unipotent-triangular inverses, determinants, Pfaffians, and
+Dense matrices over Python's arbitrary-precision integers: transposes,
+differences and products, unipotent inverses, determinants, Pfaffians, and
 Smith normal form with unimodular transformation certificates.  There is
 no floating point, no rational arithmetic and no fixed-width fast path
 anywhere: determinants (Bareiss) and Pfaffians (the Pfaffian analogue)
@@ -11,18 +11,15 @@ Entries are checked where they come in, by ``IntMatrix(rows)`` and
 ``IntMatrix.lower_toeplitz(col)``; rows built here from checked matrices
 are wrapped by ``_unchecked`` without a second pass over their entries.
 
-The unipotent inverse and the theorem matrix C @ (C^-1)^T work only where
-the inverse is nonzero.  A Cartan matrix C is lower Toeplitz (each row is
-the row above shifted right by one), and so is C^-1, with first column the
-coefficients of prod_j (1 - t^a_j): at most z <= 2^d nonzeros however large
-n is.  ``lower_toeplitz`` records its column as ``first_column`` and builds
-its rows only when they are read, so the structure is known, not detected:
-the inverse solves its first column only, in O(k * z), and each row of
-C @ (C^-1)^T is the row above shifted right plus z products, so the rows
-of C and C^-1 are never built, and M costs O(k^2) list copying and
-O(k * z) multiplications.  A matrix without a recorded column takes the
-definitions: the inverse in O(k^2 * z) for z the most nonzeros in a column
-of C^-1, and M as a dense product in O(k^3).
+The unipotent inverse and the theorem matrix C (C^-1)^T take only a C
+built by ``lower_toeplitz``, which records its first column, and refuse
+any other matrix with ValueError.  A Cartan matrix is such a C, and C^-1
+is lower Toeplitz too, with first column the coefficients of
+prod_j (1 - t^a_j): at most z <= 2^d nonzeros however large n is.  Such a
+matrix builds its rows only when they are read, so the inverse solves its
+first column only, in O(k * z), and each row of C (C^-1)^T is the row
+above shifted right plus z products: the rows of C and C^-1 are never
+built, and M costs O(k^2) list copying and O(k * z) multiplications.
 
 Smith divisors of a square nonsingular matrix are computed with bounded
 entries: +-1 pivots over Z, taken from the shortest rows, then the
@@ -84,14 +81,6 @@ class IntMatrix:
         w = col[::-1] + (0,) * (k - 1)
         self.entries = tuple([w[s : s + k] for s in range(k - 1, -1, -1)])
         return self.entries
-
-    @classmethod
-    def identity(cls, k: int) -> "IntMatrix":
-        return cls([[1 if i == j else 0 for j in range(k)] for i in range(k)])
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls([[0] * cols for _ in range(rows)])
 
     @classmethod
     def lower_toeplitz(cls, col) -> "IntMatrix":
@@ -156,43 +145,20 @@ class IntMatrix:
             )
         )
 
-    def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        if not isinstance(other, IntMatrix):
-            return NotImplemented
-        self._require_same_shape(other)
-        return _unchecked(
-            tuple(
-                tuple(map(operator.add, r1, r2))
-                for r1, r2 in zip(self.entries, other.entries)
-            )
-        )
-
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         if not isinstance(other, IntMatrix):
             return NotImplemented
-        self._require_same_shape(other)
+        if self.rows != other.rows or self.cols != other.cols:
+            raise ValueError(
+                f"shape mismatch: {self.rows}x{self.cols} vs"
+                f" {other.rows}x{other.cols}"
+            )
         return _unchecked(
             tuple(
                 tuple(map(operator.sub, r1, r2))
                 for r1, r2 in zip(self.entries, other.entries)
             )
         )
-
-    def __neg__(self) -> "IntMatrix":
-        return _unchecked(tuple(tuple(map(operator.neg, row)) for row in self.entries))
-
-    def __mul__(self, scalar) -> "IntMatrix":
-        scalar = operator.index(scalar)
-        return _unchecked(tuple(tuple(scalar * x for x in row) for row in self.entries))
-
-    __rmul__ = __mul__
-
-    def _require_same_shape(self, other: "IntMatrix") -> None:
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError(
-                f"shape mismatch: {self.rows}x{self.cols} vs"
-                f" {other.rows}x{other.cols}"
-            )
 
 
 def _unchecked(entries: tuple) -> IntMatrix:
@@ -240,68 +206,51 @@ class SnfDecomposition:
 
 
 def unipotent_inverse(m: IntMatrix) -> IntMatrix:
-    """Exact integer inverse of a lower-triangular unit-diagonal matrix.
+    """Exact integer inverse of a unipotent lower-Toeplitz matrix.
 
-    Forward substitution, column by column: entry (i, j) of the inverse is
-    minus the sum of m[i][t] * inv[t][j] over the nonzeros inv[t][j] found
-    so far in column j.  A column costs O(k * z) for z its nonzeros.  When
-    m records its first column p (see lower_toeplitz), only p[0] == 1 needs
-    checking, and the inverse is lower Toeplitz too, so only column 0 is
-    solved, from p alone: O(k * z) in all, and no row of m or of the
-    result is built.  A Cartan matrix is such an m, and its
-    inverse's first column holds the coefficients of prod_j (1 - t^a_j),
-    a product of d binomials, so z <= 2^d.  Any other m has each row
-    checked and all k columns solved: O(k^2 * z), and O(k^3) for a dense
-    inverse.  The result is again lower unipotent and m @ result ==
-    identity holds exactly.
+    m must record its first column p (see lower_toeplitz), else ValueError;
+    p[0] != 1 raises NotUnipotent.  The inverse is lower Toeplitz too, so
+    only its column 0 is solved, by forward substitution from p alone:
+    entry i is minus the sum of p[i - t] * inv[t] over the nonzeros inv[t]
+    found so far.  That costs O(k * z) for z the nonzeros of the result,
+    and no row of m or of the result is built.  A Cartan matrix is such an
+    m, and its inverse's first column holds the coefficients of
+    prod_j (1 - t^a_j), a product of d binomials, so z <= 2^d.
+
+    >>> unipotent_inverse(IntMatrix.lower_toeplitz([1, 1, 3, 3])).to_lists()
+    [[1, 0, 0, 0], [-1, 1, 0, 0], [-2, -1, 1, 0], [2, -2, -1, 1]]
     """
     p = m.first_column
-    if p is not None and p[0] != 1:
-        raise NotUnipotent(f"diagonal entry (0, 0) is {p[0]}, not 1")
-    if not m.is_square:
-        raise NotUnipotent(f"matrix is {m.rows}x{m.cols}, not square")
-    k = m.rows
     if p is None:
-        e = m.entries
-        for i, row in enumerate(e):
-            if row[i] != 1:
-                raise NotUnipotent(f"diagonal entry ({i}, {i}) is {row[i]}, not 1")
-            if any(row[i + 1:]):
-                j = next(j for j in range(i + 1, k) if row[j])
-                raise NotUnipotent(f"entry ({i}, {j}) above the diagonal is {row[j]}")
-    cols = []
-    for j in range(k if p is None else 1):
-        col = [0] * k
-        col[j] = 1
-        nonzeros = [(j, 1)]
-        for i in range(j + 1, k):
-            x = 0
-            if p is None:
-                row = e[i]
-                for t, y in nonzeros:
-                    x -= row[t] * y
-            else:  # entry (i, t) of m is p[i - t]; its rows are never built
-                for t, y in nonzeros:
-                    x -= p[i - t] * y
-            if x:
-                col[i] = x
-                nonzeros.append((i, x))
-        cols.append(col)
-    if p is not None:
-        return IntMatrix.lower_toeplitz(cols[0])
-    return _unchecked(tuple(zip(*cols)))
+        raise ValueError("matrix has no recorded first column; use IntMatrix.lower_toeplitz")
+    if p[0] != 1:
+        raise NotUnipotent(f"diagonal entry (0, 0) is {p[0]}, not 1")
+    k = len(p)
+    col = [0] * k
+    col[0] = 1
+    nonzeros = [(0, 1)]
+    for i in range(1, k):
+        x = 0
+        for t, y in nonzeros:  # entry (i, t) of m is p[i - t]
+            x -= p[i - t] * y
+        if x:
+            col[i] = x
+            nonzeros.append((i, x))
+    return IntMatrix.lower_toeplitz(col)
 
 
 def theorem_matrix(c: IntMatrix, d: int) -> IntMatrix:
-    """The matrix (-1)**(d-1) * C @ (C^-1)^T - Id for a unipotent C.
+    """The matrix (-1)**(d-1) * C (C^-1)^T - Id for a unipotent C.
 
-    Write Q = C^-1.  When C records its first column p (see lower_toeplitz),
-    so does Q, with first column q, and X = C @ Q^T has X[i][j] =
+    C must record its first column p, as for unipotent_inverse; then so
+    does Q = C^-1, with first column q, and X = C Q^T has X[i][j] =
     X[i-1][j-1] + p_i * q_j; Id obeys the same recurrence with 1 in place
     of p_0 * q_0.  So row i of M is row i - 1 shifted right by one plus
     sign * p_i times the z nonzeros of q: O(k^2) list copying and O(k * z)
-    multiplications, with z <= 2^d for a Cartan matrix.  Any other C is
-    taken by the definition, with a dense product: O(k^3).
+    multiplications, with z <= 2^d for a Cartan matrix.
+
+    >>> theorem_matrix(IntMatrix.lower_toeplitz([1, 3]), 3).to_lists()
+    [[0, -3], [3, -9]]
     """
     d = operator.index(d)
     if d < 2:
@@ -309,18 +258,16 @@ def theorem_matrix(c: IntMatrix, d: int) -> IntMatrix:
     sign = 1 if d % 2 == 1 else -1
     k = c.rows
     q = unipotent_inverse(c)
-    if c.first_column is not None:
-        q_nonzeros = [(j, sign * x) for j, x in enumerate(q.first_column) if x]
-        rows = []
-        row = [-1] + [0] * (k - 1)
-        for p in c.first_column:
-            for j, x in q_nonzeros:
-                row[j] += p * x
-            rows.append(tuple(row))
-            row.insert(0, 0)
-            row.pop()
-        return _unchecked(tuple(rows))
-    return sign * (c @ q.transpose()) - IntMatrix.identity(k)
+    q_nonzeros = [(j, sign * x) for j, x in enumerate(q.first_column) if x]
+    rows = []
+    row = [-1] + [0] * (k - 1)
+    for p in c.first_column:
+        for j, x in q_nonzeros:
+            row[j] += p * x
+        rows.append(tuple(row))
+        row.insert(0, 0)
+        row.pop()
+    return _unchecked(tuple(rows))
 
 
 def determinant(m: IntMatrix) -> int:

@@ -3,8 +3,9 @@
 The oracles here deliberately avoid the library's own algorithms:
 determinants by cofactor expansion, Pfaffians by the 4x4 combinatorial
 formula and by Parlett-Reid elimination over the rationals, quivers by
-the literal three-step truncation, and kernels / cokernels over Z/q by
-explicit enumeration of the map on (Z/q)^k.
+the literal three-step truncation, kernels / cokernels over Z/q by
+explicit enumeration of the map on (Z/q)^k, and the unipotent inverse and
+theorem matrix by their dense definitions over plain lists.
 """
 
 from __future__ import annotations
@@ -115,6 +116,43 @@ def pfaffian_fractions(rows) -> int:
                 a[j][i] = -a[i][j]
     assert pf.denominator == 1
     return int(pf)
+
+
+def identity(k: int) -> IntMatrix:
+    return IntMatrix([[int(i == j) for j in range(k)] for i in range(k)])
+
+
+def zeros(rows: int, cols: int) -> IntMatrix:
+    return IntMatrix([[0] * cols for _ in range(rows)])
+
+
+def matrix_sum(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    assert (a.rows, a.cols) == (b.rows, b.cols)
+    return IntMatrix([[x + y for x, y in zip(r, s)] for r, s in zip(a.entries, b.entries)])
+
+
+def reference_inverse(m: IntMatrix) -> IntMatrix:
+    """Dense forward substitution, row by row over every entry."""
+    k = m.rows
+    e = m.entries
+    inv = [[0] * k for _ in range(k)]
+    for i in range(k):
+        inv[i][i] = 1
+        for j in range(i - 1, -1, -1):
+            inv[i][j] = -sum(e[i][t] * inv[t][j] for t in range(j, i))
+    return IntMatrix(inv)
+
+
+def reference_theorem_matrix(c: IntMatrix, d: int) -> IntMatrix:
+    """sign * C (C^-1)^T - Id entry by entry: (C Q^T)[i][j] = sum_t C[i][t] Q[j][t]."""
+    sign = 1 if d % 2 == 1 else -1
+    q = reference_inverse(c).entries
+    return IntMatrix(
+        [
+            [sign * sum(x * y for x, y in zip(row, q_row)) - (i == j) for j, q_row in enumerate(q)]
+            for i, row in enumerate(c.entries)
+        ]
+    )
 
 
 def random_int_matrix(rng, rows: int, cols: int, bound: int) -> IntMatrix:

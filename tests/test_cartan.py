@@ -21,7 +21,7 @@ from ksing import (
     validate_params,
 )
 
-from conftest import all_valid_params
+from conftest import all_valid_params, identity
 
 
 def test_gf_low_dim_example():
@@ -234,4 +234,4 @@ def test_cartan_determinant_one_and_integral_inverse():
         c = cartan_matrix(path_counts_gf(params))
         assert determinant(c) == 1
         inv = unipotent_inverse(c)
-        assert c @ inv == IntMatrix.identity(c.rows)
+        assert c @ inv == identity(c.rows)

@@ -159,6 +159,31 @@ def test_cartan_refuses_a_negative_bruteforce_cap(capsys, n, d, weights):
     assert "cap must be nonnegative" in err
 
 
+def test_cartan_refuses_a_bruteforce_cap_without_the_check(capsys):
+    for cap in ("0", "10000000"):
+        code, out, err = run_cli(
+            capsys, "cartan", "--n", "5", "--d", "3", "--weights", "1,2,2",
+            "--bruteforce-cap", cap,
+        )
+        assert code == 2
+        assert out == ""
+        assert "InputError" in err and "--check-bruteforce" in err
+
+
+def test_cartan_check_caps_at_ten_million_by_default(capsys, monkeypatch):
+    caps = []
+    brute = ksing.cli.path_counts_bruteforce
+    monkeypatch.setattr(
+        ksing.cli, "path_counts_bruteforce", lambda q, cap: caps.append(cap) or brute(q, cap)
+    )
+    code, out, _ = run_cli(
+        capsys, "cartan", "--n", "5", "--d", "3", "--weights", "1,2,2", "--check-bruteforce"
+    )
+    assert code == 0
+    assert "agrees: yes" in out
+    assert caps == [10_000_000]
+
+
 def test_matrix_command(capsys):
     code, out, _ = run_cli(
         capsys, "matrix", "--n", "5", "--d", "3", "--weights", "1,2,2",
@@ -176,6 +201,23 @@ def test_snf_fixture_divisor_product_is_26(capsys):
     for x in divisors:
         prod *= x
     assert prod == 26
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--n", "5"),
+        ("--d", "3"),
+        ("--weights", "1,2,2"),
+        ("--source", "family"),
+        ("--source", "family", "--n", "9", "--d", "2", "--weights", "1,8"),
+    ],
+)
+def test_snf_refuses_params_and_source_with_the_fixture(capsys, flags):
+    code, out, err = run_cli(capsys, "snf", "--fixture", "paper-low-dim", *flags)
+    assert code == 2
+    assert out == ""
+    assert "InputError" in err
 
 
 def test_snf_from_params(capsys):

@@ -44,6 +44,7 @@ from conftest import (
     all_valid_params,
     mod_q_annihilator_counts,
     predicted_annihilator_counts,
+    zeros,
 )
 
 
@@ -149,7 +150,7 @@ class TestModQKernelCokernel:
         assert ker == coker == FiniteAbelianGroup((2,))
 
     def test_zero_map(self):
-        ker, coker = mod_q_kernel_cokernel(IntMatrix.zeros(2, 2), 3)
+        ker, coker = mod_q_kernel_cokernel(zeros(2, 2), 3)
         assert ker == coker == FiniteAbelianGroup((3, 3))
 
     def test_printed_fixture_groups(self):
@@ -601,17 +602,23 @@ def test_prime_by_prime_route_matches_the_smith_form_of_g():
     assert checked == 780
 
 
-def test_l_part_at_v_1_is_the_closed_form():
-    # ROADMAP item 3's closed form, an oracle only: for v_l(n) = 1 the
-    # l-part is Z_l[zeta_l]/(pi**(d-1)), i.e. (Z/l**(q+1))**r + (Z/l**q)**(l-1-r)
-    # with d - 1 = q (l - 1) + r.
-    def l_part(x, l):
-        part = 1
-        while x % l == 0:
-            x //= l
-            part *= l
-        return part
+def _l_part(x, l):
+    part = 1
+    while x % l == 0:
+        x //= l
+        part *= l
+    return part
 
+
+def _closed_form_l_part(n, d, l):
+    """ROADMAP item 3's closed form, an oracle only: for v_l(n) = 1 the
+    l-part is Z_l[zeta_l]/(pi**(d-1)), i.e. (Z/l**(q+1))**r + (Z/l**q)**(l-1-r)
+    with d - 1 = q (l - 1) + r, after n - l trivial divisors."""
+    q, r = divmod(d - 1, l - 1)
+    return [1] * (n - l) + [l**q] * (l - 1 - r) + [l ** (q + 1)] * r
+
+
+def test_l_part_at_v_1_is_the_closed_form():
     checked = 0
     for n in range(2, 200):
         parts = _prime_power_parts(n)
@@ -621,11 +628,21 @@ def test_l_part_at_v_1_is_the_closed_form():
         for d in range(2, min(n, 40) + 1):
             divisors = pipeline_divisors(n, d)
             for l in primes:
-                q, r = divmod(d - 1, l - 1)
-                want = [1] * (n - l) + [l**q] * (l - 1 - r) + [l ** (q + 1)] * r
-                assert [l_part(x, l) for x in divisors] == want, (n, d, l)
+                want = _closed_form_l_part(n, d, l)
+                assert [_l_part(x, l) for x in divisors] == want, (n, d, l)
                 checked += 1
     assert checked == 6366
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_l_part_at_v_1_is_the_closed_form_on_random_draws(data):
+    # Beyond the n < 200 grid: n = l * m with l not dividing m, n <= 3000.
+    l = data.draw(st.sampled_from((2, 3, 5, 7, 11, 13)))
+    n = l * data.draw(st.integers(1, 3000 // l).filter(lambda m: m % l))
+    d = data.draw(st.integers(2, min(n, 40)))
+    divisors = pipeline_divisors(n, d)
+    assert [_l_part(x, l) for x in divisors] == _closed_form_l_part(n, d, l)
 
 
 @pytest.mark.parametrize("n", [120, 210, 240])

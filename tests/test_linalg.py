@@ -25,11 +25,16 @@ from ksing.linalg import _snf_certificate, _unit_pivot_block
 
 from conftest import (
     all_valid_params,
+    identity,
     laplace_det,
+    matrix_sum,
     pfaffian4,
     pfaffian_fractions,
     random_int_matrix,
     random_unimodular,
+    reference_inverse,
+    reference_theorem_matrix,
+    zeros,
 )
 
 
@@ -51,31 +56,8 @@ FAMILY_AND_WIDE_SETS = [(n, n, (1,) * n) for n in range(3, 29)] + [
 
 
 def random_unipotent(rng, k, bound=9):
-    return IntMatrix(
-        [
-            [1 if i == j else (rng.randint(-bound, bound) if i > j else 0)
-             for j in range(k)]
-            for i in range(k)
-        ]
-    )
-
-
-def reference_inverse(m):
-    """Dense forward substitution, row by row over every entry."""
-    k = m.rows
-    e = m.entries
-    inv = [[0] * k for _ in range(k)]
-    for i in range(k):
-        inv[i][i] = 1
-        for j in range(i - 1, -1, -1):
-            inv[i][j] = -sum(e[i][t] * inv[t][j] for t in range(j, i))
-    return IntMatrix(inv)
-
-
-def reference_theorem_matrix(c, d):
-    """sign * C @ (C^-1)^T - Id through the dense matrix operations."""
-    sign = 1 if d % 2 == 1 else -1
-    return sign * (c @ reference_inverse(c).transpose()) - IntMatrix.identity(c.rows)
+    """A unipotent lower-Toeplitz matrix with first column entries in +-bound."""
+    return IntMatrix.lower_toeplitz([1] + [rng.randint(-bound, bound) for _ in range(k - 1)])
 
 
 def random_skew(rng, k, bound=9):
@@ -107,33 +89,33 @@ class TestIntMatrix:
             IntMatrix.lower_toeplitz([])
 
     def test_arithmetic(self):
+        # The operations kept: @ for checking U @ M @ V == D, and - with
+        # transpose for C - C^T.
         a = IntMatrix([[1, 2], [3, 4]])
         b = IntMatrix([[0, 1], [1, 0]])
         assert a @ b == IntMatrix([[2, 1], [4, 3]])
-        assert a + b == IntMatrix([[1, 3], [4, 4]])
         assert a - b == IntMatrix([[1, 1], [2, 4]])
-        assert -a == IntMatrix([[-1, -2], [-3, -4]])
-        assert 2 * a == IntMatrix([[2, 4], [6, 8]])
         assert a.transpose() == IntMatrix([[1, 3], [2, 4]])
         assert a[1, 0] == 3
-        assert IntMatrix.identity(2) @ a == a
+        assert identity(2) @ a == a
 
     def test_shape_errors(self):
         a = IntMatrix([[1, 2]])
         with pytest.raises(ValueError):
             a @ a
         with pytest.raises(ValueError):
-            a + IntMatrix([[1], [2]])
+            a - IntMatrix([[1], [2]])
 
 
 class TestUnipotentInverse:
     def test_two_by_two(self):
-        assert unipotent_inverse(IntMatrix([[1, 0], [3, 1]])) == IntMatrix(
+        assert unipotent_inverse(IntMatrix.lower_toeplitz([1, 3])) == IntMatrix(
             [[1, 0], [-3, 1]]
         )
 
     def test_identity(self):
-        eye = IntMatrix.identity(4)
+        eye = IntMatrix.lower_toeplitz([1, 0, 0, 0])
+        assert eye == identity(4)
         assert unipotent_inverse(eye) == eye
 
     def test_low_dim_cartan(self):
@@ -142,40 +124,39 @@ class TestUnipotentInverse:
         assert inv == IntMatrix(
             [[1, 0, 0, 0], [-1, 1, 0, 0], [-2, -1, 1, 0], [2, -2, -1, 1]]
         )
-        assert c @ inv == IntMatrix.identity(4)
+        assert c @ inv == identity(4)
 
     def test_random_round_trip(self):
         rng = random.Random(11)
         for _ in range(100):
             k = rng.randint(1, 8)
             m = random_unipotent(rng, k)
-            assert m @ unipotent_inverse(m) == IntMatrix.identity(k)
+            assert m @ unipotent_inverse(m) == identity(k)
 
     def test_rejections(self):
+        # Rows without a recorded first column are refused whatever they
+        # hold, unipotent or not; a recorded column needs p[0] == 1.
+        for rows in ([[1, 0], [3, 1]], [[1, 0, 0], [0, 1, 0]], [[1, 5], [0, 1]]):
+            with pytest.raises(ValueError) as info:
+                unipotent_inverse(IntMatrix(rows))
+            assert type(info.value) is ValueError
         with pytest.raises(NotUnipotent):
-            unipotent_inverse(IntMatrix([[1, 0, 0], [0, 1, 0]]))
-        with pytest.raises(NotUnipotent):
-            unipotent_inverse(IntMatrix([[2, 0], [0, 1]]))
-        with pytest.raises(NotUnipotent):
-            unipotent_inverse(IntMatrix([[1, 5], [0, 1]]))
+            unipotent_inverse(IntMatrix.lower_toeplitz([2, 0]))
 
-    @pytest.mark.parametrize(
-        "rows, message",
-        [
-            ([[1, 0, 0], [0, 1, 0]], "matrix is 2x3, not square"),
-            ([[1, 0], [4, 2]], "diagonal entry (1, 1) is 2, not 1"),
-            ([[1, 0, 0], [0, 1, 7], [0, 0, 1]], "entry (1, 2) above the diagonal is 7"),
-            ([[1, 0, 5], [0, 1, 0], [0, 0, 1]], "entry (0, 2) above the diagonal is 5"),
-        ],
-    )
-    def test_rejection_messages(self, rows, message):
+    def test_rejection_messages(self):
+        # A refusal names the constructor to use instead.
+        with pytest.raises(ValueError) as info:
+            unipotent_inverse(IntMatrix([[1, 0], [4, 2]]))
+        want = "matrix has no recorded first column; use IntMatrix.lower_toeplitz"
+        assert str(info.value) == want
         with pytest.raises(NotUnipotent) as info:
-            unipotent_inverse(IntMatrix(rows))
-        assert str(info.value) == message
+            unipotent_inverse(IntMatrix.lower_toeplitz([2, 7]))
+        assert str(info.value) == "diagonal entry (0, 0) is 2, not 1"
 
 
 class TestAgainstDenseReference:
-    """The zero-skipping inverse and one-pass M against the dense route."""
+    """The zero-skipping inverse and one-pass M against the dense
+    definitions of conftest."""
 
     @staticmethod
     def assert_matches(c, d):
@@ -199,25 +180,10 @@ class TestAgainstDenseReference:
             col = [1] + [rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(k - 1)]
             self.assert_matches(IntMatrix.lower_toeplitz(col), rng.randint(2, 7))
 
-    def test_grid_cartan_with_one_entry_changed(self):
-        # Off the corner (k - 1, 0), the only entry of its diagonal, the
-        # change leaves C no longer Toeplitz, so the general route runs.
-        rng = random.Random(31)
-        for params in all_valid_params(12):
-            rows = cartan_matrix(path_counts_gf(params)).to_lists()
-            k = len(rows)
-            if k < 3:
-                continue
-            i = rng.randrange(1, k)
-            rows[i][rng.randrange(max(0, i - k + 2), i)] += rng.choice([-1, 1])
-            c = IntMatrix(rows)
-            assert any(row[1:] != above[:-1] for above, row in zip(rows, rows[1:]))
-            self.assert_matches(c, params.d)
-
     @pytest.mark.parametrize("bound", [1, 9])
     def test_random_unipotent(self, bound):
-        # bound=1 leaves about a third of the entries below the diagonal
-        # zero, so the inverse has zeros to skip as well.
+        # bound=1 leaves about a third of the first column zero, so the
+        # inverse has zeros to skip as well.
         rng = random.Random(61 + bound)
         for _ in range(100):
             k = rng.randint(1, 12)
@@ -247,16 +213,15 @@ class TestTrustBoundary:
                 assert all(type(x) is int for row in m.entries for x in row)
             gs.clear()
 
-    def test_rebuilt_toeplitz_takes_the_general_route(self):
-        sets = all_valid_params(12) + [validate_params(*s) for s in FAMILY_AND_WIDE_SETS]
-        for params in sets:
-            c = cartan_matrix(path_counts_gf(params))
+    def test_rebuilt_toeplitz_is_refused(self):
+        # The same rows without the recorded column: no second route.
+        for n, d, weights in FAMILY_AND_WIDE_SETS[::6]:
+            c = cartan_matrix(path_counts_gf(validate_params(n, d, weights)))
             rebuilt = IntMatrix(c.entries)
             assert rebuilt == c and rebuilt.first_column is None
-            inverse = unipotent_inverse(rebuilt)
-            assert inverse.first_column is None
-            assert inverse == unipotent_inverse(c)
-            assert theorem_matrix(rebuilt, params.d) == theorem_matrix(c, params.d)
+            for call in (unipotent_inverse, lambda m: theorem_matrix(m, d)):
+                with pytest.raises(ValueError, match="no recorded first column"):
+                    call(rebuilt)
 
     def test_toeplitz_route_builds_no_rows_of_c_or_its_inverse(self):
         # Only M's rows are built; C and C^-1 are read off their columns,
@@ -275,19 +240,18 @@ class TestTrustBoundary:
     @pytest.mark.parametrize("corner", [0, 2, -1])
     def test_recorded_column_rejects_as_the_rows_do(self, corner):
         toeplitz = IntMatrix.lower_toeplitz([corner, 3, 1])
-        for m in (toeplitz, IntMatrix(toeplitz.entries)):
-            for call in (unipotent_inverse, lambda m: theorem_matrix(m, 3)):
-                with pytest.raises(NotUnipotent) as info:
-                    call(m)
-                assert str(info.value) == f"diagonal entry (0, 0) is {corner}, not 1"
+        for call in (unipotent_inverse, lambda m: theorem_matrix(m, 3)):
+            with pytest.raises(NotUnipotent) as info:
+                call(toeplitz)
+            assert str(info.value) == f"diagonal entry (0, 0) is {corner}, not 1"
 
 
 class TestTheoremMatrix:
     def test_one_by_one(self):
-        assert theorem_matrix(IntMatrix([[1]]), 2) == IntMatrix([[-2]])
+        assert theorem_matrix(IntMatrix.lower_toeplitz([1]), 2) == IntMatrix([[-2]])
 
     def test_family_d3(self):
-        m = theorem_matrix(IntMatrix([[1, 0], [3, 1]]), 3)
+        m = theorem_matrix(IntMatrix.lower_toeplitz([1, 3]), 3)
         assert m == IntMatrix([[0, -3], [3, -9]])
 
     def test_low_dim_pipeline_matrix(self):
@@ -302,7 +266,7 @@ class TestTheoremMatrix:
 
     def test_dimension_guard(self):
         with pytest.raises(ValueError):
-            theorem_matrix(IntMatrix([[1]]), 1)
+            theorem_matrix(IntMatrix.lower_toeplitz([1]), 1)
 
     def test_odd_dimension_identity_on_random_unipotent(self):
         # C (C^-1)^T - Id = (C - C^T) (C^T)^-1, so the determinants agree
@@ -322,7 +286,8 @@ class TestTheoremMatrix:
             d = rng.choice((2, 4, 6))
             m = theorem_matrix(c, d)
             ct_inv = unipotent_inverse(c).transpose()
-            assert m == -((c + c.transpose()) @ ct_inv)
+            # M = -(C + C^T)(C^T)^-1, so M + (C + C^T)(C^T)^-1 = 0.
+            assert matrix_sum(m, matrix_sum(c, c.transpose()) @ ct_inv) == zeros(k, k)
 
 
 class TestDeterminant:
@@ -331,7 +296,7 @@ class TestDeterminant:
         assert determinant(IntMatrix([[1, 2], [3, 4]])) == -2
         assert determinant(IntMatrix([[0, 1], [1, 0]])) == -1
         assert determinant(IntMatrix([[1, 2], [2, 4]])) == 0
-        assert determinant(IntMatrix.zeros(3, 3)) == 0
+        assert determinant(zeros(3, 3)) == 0
 
     def test_against_cofactor_expansion(self):
         rng = random.Random(37)
@@ -380,7 +345,7 @@ class TestPfaffian:
             pfaffian(IntMatrix([[0, 1, -1], [-1, 0, 2]]))
 
     def test_zero_pfaffian(self):
-        assert pfaffian(IntMatrix.zeros(4, 4)) == 0
+        assert pfaffian(zeros(4, 4)) == 0
 
     def test_matches_the_rational_elimination(self):
         # Sparse entries make zero pivots, hence swaps, and zero Pfaffians.
@@ -477,9 +442,9 @@ class TestSmithNormalForm:
         assert smith_normal_form(IntMatrix([[-2]])).divisors == (2,)
 
     def test_zero_matrix(self):
-        dec = smith_normal_form(IntMatrix.zeros(3, 3))
+        dec = smith_normal_form(zeros(3, 3))
         assert dec.divisors == (0, 0, 0)
-        assert_snf_certificate(IntMatrix.zeros(3, 3), dec)
+        assert_snf_certificate(zeros(3, 3), dec)
 
     def test_low_dim_fixture_divisors(self):
         from ksing import LOW_DIM_PRINTED_MATRIX
@@ -562,7 +527,7 @@ class TestSmithNormalForm:
             assert base == self.certificate_diagonal(a)
             for c in (2, 3, 6, 12):
                 if a.first_column is None:
-                    scaled = c * a
+                    scaled = IntMatrix([[c * x for x in row] for row in a.entries])
                 else:
                     scaled = IntMatrix.lower_toeplitz([c * x for x in a.first_column])
                 got = smith_normal_form(scaled).divisors
@@ -577,7 +542,7 @@ class TestSmithNormalForm:
         rng = random.Random(67)
         # [[2, 3], [3, 5]] is unimodular with no +-1 entry, so its block is
         # not empty; the identity and most products of shears leave none.
-        inputs = [IntMatrix.identity(k) for k in range(1, 6)]
+        inputs = [identity(k) for k in range(1, 6)]
         inputs += [random_unimodular(rng, rng.randint(1, 6)) for _ in range(40)]
         inputs.append(IntMatrix([[2, 3], [3, 5]]))
         assert _unit_pivot_block(inputs[0]) == ()

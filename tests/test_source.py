@@ -35,6 +35,13 @@ def test_docstring_examples_pass():
     assert sum(r.attempted for r in results) >= 5
 
 
+def test_all_names_resolve_once_in_sorted_order():
+    names = ksing.__all__
+    assert [name for name in names if not hasattr(ksing, name)] == []
+    assert len(set(names)) == len(names)
+    assert names == sorted(names)
+
+
 def test_library_imports_only_the_standard_library():
     # pyproject.toml declares no dependencies; numpy and hypothesis serve
     # the tests only.
@@ -81,9 +88,9 @@ def test_unchecked_rows_are_wrapped_only_inside_linalg():
 
 
 def test_cartan_matrix_and_its_inverse_record_their_first_column():
-    # Without a recorded column, unipotent_inverse solves every column and
-    # theorem_matrix takes its definition, a dense product: the same
-    # answers, but O(k^3).
+    # unipotent_inverse and theorem_matrix refuse a matrix without a
+    # recorded column; with it, each solves one column and builds no row
+    # of C or C^-1.
     c = ksing.cartan_matrix([1, 1, 3, 3])
     inverse = ksing.unipotent_inverse(c)
     assert c.first_column == (1, 1, 3, 3)

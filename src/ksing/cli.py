@@ -259,7 +259,8 @@ def _cmd_cartan(args) -> int:
     c = cartan_matrix(counts)
     checked = None
     if args.check_bruteforce:
-        brute = path_counts_bruteforce(build_quiver(params), 10_000_000 if cap is None else cap)
+        cap = 10_000_000 if cap is None else cap
+        brute = path_counts_bruteforce(build_quiver(params), cap=cap)
         checked = brute == counts
     if args.format == "json":
         payload = {

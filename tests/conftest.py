@@ -149,7 +149,8 @@ def reference_theorem_matrix(c: IntMatrix, d: int) -> IntMatrix:
     q = reference_inverse(c).entries
     return IntMatrix(
         [
-            [sign * sum(x * y for x, y in zip(row, q_row)) - (i == j) for j, q_row in enumerate(q)]
+            [sign * sum(x * y for x, y in zip(row, q_row)) - (i == j)
+             for j, q_row in enumerate(q)]
             for i, row in enumerate(c.entries)
         ]
     )

@@ -131,8 +131,23 @@ def matrix_sum(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     return IntMatrix([[x + y for x, y in zip(r, s)] for r, s in zip(a.entries, b.entries)])
 
 
+def check_unipotent(m: IntMatrix) -> None:
+    """Raise ValueError naming the first entry, row by row, that keeps m
+    from being square, lower triangular and with ones on the diagonal."""
+    if m.rows != m.cols:
+        raise ValueError(f"matrix is {m.rows}x{m.cols}, not square")
+    for i, row in enumerate(m.entries):
+        if row[i] != 1:
+            raise ValueError(f"diagonal entry ({i}, {i}) is {row[i]}, not 1")
+        for j in range(i + 1, m.cols):
+            if row[j]:
+                raise ValueError(f"entry ({i}, {j}) above the diagonal is {row[j]}")
+
+
 def reference_inverse(m: IntMatrix) -> IntMatrix:
-    """Dense forward substitution, row by row over every entry."""
+    """Dense forward substitution, row by row over every entry, of a
+    matrix that check_unipotent accepts."""
+    check_unipotent(m)
     k = m.rows
     e = m.entries
     inv = [[0] * k for _ in range(k)]

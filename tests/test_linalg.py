@@ -143,7 +143,30 @@ class TestUnipotentInverse:
         with pytest.raises(NotUnipotent):
             unipotent_inverse(IntMatrix.lower_toeplitz([2, 0]))
 
-    def test_rejection_messages(self):
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([[1, 0, 0], [0, 1, 0]], "matrix is 2x3, not square"),
+            ([[1, 0], [4, 2]], "diagonal entry (1, 1) is 2, not 1"),
+            ([[1, 0, 0], [0, 1, 7], [0, 0, 1]], "entry (1, 2) above the diagonal is 7"),
+            ([[1, 0, 5], [0, 1, 0], [0, 0, 1]], "entry (0, 2) above the diagonal is 5"),
+        ],
+    )
+    def test_rejection_messages(self, rows, message):
+        # Rows that are not unipotent are refused for the missing column,
+        # before any entry is read; the dense oracle that the library is
+        # compared against names the entry at fault.
+        m = IntMatrix(rows)
+        for f in (unipotent_inverse, lambda c: theorem_matrix(c, 3)):
+            with pytest.raises(ValueError) as info:
+                f(m)
+            assert type(info.value) is ValueError
+            assert "IntMatrix.lower_toeplitz" in str(info.value)
+        with pytest.raises(ValueError) as info:
+            reference_inverse(m)
+        assert str(info.value) == message
+
+    def test_refusal_messages(self):
         # A refusal names the constructor to use instead.
         with pytest.raises(ValueError) as info:
             unipotent_inverse(IntMatrix([[1, 0], [4, 2]]))

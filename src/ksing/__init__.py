@@ -41,9 +41,9 @@ from .linalg import (
     NotSkewSymmetric,
     NotUnipotent,
     OddSize,
-    SnfDecomposition,
     determinant,
     pfaffian,
+    smith_certificate,
     smith_normal_form,
     theorem_matrix,
     unipotent_inverse,
@@ -90,7 +90,6 @@ __all__ = [
     "Quiver",
     "QuotientParams",
     "Relation",
-    "SnfDecomposition",
     "SourceUnavailable",
     "TRIVIAL_GROUP",
     "VerificationReport",
@@ -114,6 +113,7 @@ __all__ = [
     "pipeline_divisors",
     "pipeline_matrix",
     "quiver_from_json",
+    "smith_certificate",
     "smith_normal_form",
     "theorem_matrix",
     "unipotent_inverse",

@@ -20,8 +20,9 @@ from itertools import chain
 from . import ktheory
 from .cartan import cartan_matrix, path_counts_bruteforce, path_counts_gf
 from .errors import InputError
-from .linalg import determinant, smith_normal_form
+from .linalg import determinant, smith_certificate
 from .params import (
+    DimensionTooSmall,
     NonPositiveExponent,
     PrimePower,
     QuotientParams,
@@ -303,33 +304,35 @@ def _cmd_matrix(args) -> int:
 
 
 def _cmd_snf(args) -> int:
+    source = _SOURCE_BY_ALIAS[args.source]
     if args.fixture == "paper-low-dim":
-        if (args.n, args.d, args.weights) != (None,) * 3 or args.source != "pipeline":
+        if (args.n, args.d, args.weights) != (None,) * 3 or source != "theorem-pipeline":
             raise InputError("--fixture takes no --n, --d, --weights or --source")
         m = ktheory.LOW_DIM_PRINTED_MATRIX
         label = "paper-low-dim fixture"
     else:
         params = _params_from_args(args)
-        m = ktheory.matrix_from_source(params, _SOURCE_BY_ALIAS[args.source])
+        m = ktheory.matrix_from_source(params, source)
         label = f"M for n={params.n}, d={params.d}, weights={params.weights}"
-    dec = smith_normal_form(m)
+    u, d, v = smith_certificate(m)
+    divisors = [d[i, i] for i in range(d.rows)]  # M is square
     if args.format == "json":
         _emit_json(
             {
                 "schema_version": 1,
                 "matrix": m.to_lists(),
-                "U": dec.U.to_lists(),
-                "D": dec.D.to_lists(),
-                "V": dec.V.to_lists(),
-                "divisors": list(dec.divisors),
+                "U": u.to_lists(),
+                "D": d.to_lists(),
+                "V": v.to_lists(),
+                "divisors": divisors,
             }
         )
         return 0
     print(f"Smith normal form of {label}")
-    for name, mat in (("U", dec.U), ("D", dec.D), ("V", dec.V)):
+    for name, mat in (("U", u), ("D", d), ("V", v)):
         print(f"{name}:")
         _print_matrix(mat)
-    print(f"divisors: {', '.join(map(str, dec.divisors))}")
+    print(f"divisors: {', '.join(map(str, divisors))}")
     return 0
 
 
@@ -429,8 +432,8 @@ def _sweep_params(args) -> Iterator[QuotientParams]:
 
 
 def _check_sweep_flags(args) -> None:
-    """Refuse a --d that the weights mode would drop, and a count flag
-    below 1 even where no cell would read it."""
+    """Refuse a --d that the weights mode would drop or that holds a d below
+    2, and a count flag below 1, even where no cell would read them."""
     if args.d is not None and args.weights_mode == "ones":
         raise InputError("--d applies only to --weights-mode all; 'ones' takes d = n")
     if args.exponent < 1:
@@ -438,6 +441,9 @@ def _check_sweep_flags(args) -> None:
     for flag, value in (("--max-cells", args.max_cells), ("--jobs", args.jobs)):
         if value < 1:
             raise InputError(f"{flag} must be at least 1, got {value}")
+    d_ranges = _parse_int_list(args.d or "")
+    if d_ranges and d_ranges[0].start < 2:
+        raise DimensionTooSmall(f"dimension d must be at least 2, got {d_ranges[0].start}")
 
 
 def _cmd_sweep(args) -> int:

@@ -232,7 +232,7 @@ def mod_q_kernel_cokernel(
         raise ValueError(f"modulus must be at least 2, got {q}")
     if not m.is_square:
         raise ValueError(f"need a square matrix, got {m.rows}x{m.cols}")
-    group = _groups_from_divisors(smith_normal_form(m).divisors, q)
+    group = _groups_from_divisors(smith_normal_form(m), q)
     return group, group
 
 
@@ -325,12 +325,12 @@ def pipeline_divisors(n: int, d: int) -> tuple[int, ...]:
     if sum(parts) - len(parts) < m:
         chain = [1] * m
         for q in parts:
-            block = smith_normal_form(_companion_block(q, m)).divisors
+            block = smith_normal_form(_companion_block(q, m))
             for i, x in enumerate(block, m - q + 1):
                 chain[i] *= x
         return (1,) * (n - d) + tuple(chain)
     g = [math.comb(n, i) for i in range(1, d)]  # D G D, see the statement
-    return (1,) * (n - d) + smith_normal_form(IntMatrix.lower_toeplitz(g)).divisors
+    return (1,) * (n - d) + smith_normal_form(IntMatrix.lower_toeplitz(g))
 
 
 def _companion_block(q: int, m: int) -> IntMatrix:
@@ -441,7 +441,7 @@ def compute_ktheory(
         divisors = pipeline_divisors(params.n, params.d)
         orders = divisors[params.n - params.d:]  # the leading ones add nothing
     else:
-        divisors = orders = smith_normal_form(m).divisors
+        divisors = orders = smith_normal_form(m)
     group = _groups_from_divisors(orders, coeff.q)
     return KTheoryReport(
         params=params,

@@ -1,11 +1,11 @@
 """Exact integer matrix arithmetic.
 
 Dense matrices over Python's arbitrary-precision integers: transposes,
-differences and products, unipotent inverses, determinants, Pfaffians, and
-Smith normal form with unimodular transformation certificates.  There is
-no floating point, no rational arithmetic and no fixed-width fast path
-anywhere: determinants (Bareiss) and Pfaffians (the Pfaffian analogue)
-are fraction-free, and each of their divisions is exact.
+differences and products, unipotent inverses, determinants, Pfaffians,
+Smith divisors and unimodular Smith certificates.  There is no floating
+point, no rational arithmetic and no fixed-width fast path anywhere:
+determinants (Bareiss) and Pfaffians (the Pfaffian analogue) are
+fraction-free, and each of their divisions is exact.
 
 Entries are checked where they come in, by ``IntMatrix(rows)`` and
 ``IntMatrix.lower_toeplitz(col)``; rows built here from checked matrices
@@ -21,15 +21,17 @@ first column only, in O(k * z), and each row of C (C^-1)^T is the row
 above shifted right plus z products: the rows of C and C^-1 are never
 built, and M costs O(k^2) list copying and O(k * z) multiplications.
 
-Smith divisors of a square nonsingular matrix are computed with bounded
-entries: +-1 pivots over Z, taken from the shortest rows, then the
-content c of the k x k block left is divided out (exact, as SNF(c * A) =
-c * SNF(A)), then elimination modulo |det| / c**k (Kannan-Bachem,
-Hafner-McCurley), so intermediates stay near the size of the determinant.
-The U, V certificate comes from a separate elimination over Z, one
-clearing round per pivot, built only when U, D or V is read.  Its entries
-are not bounded: on the unit-weight family they reach 1,155 bits at
-n = 19 and 29,760 bits at n = 32.
+Two eliminations give the Smith form, each through one function that
+returns a plain value.  smith_normal_form returns the divisors of a square
+nonsingular matrix with bounded entries: +-1 pivots over Z, taken from the
+shortest rows, then the content c of the k x k block left is divided out
+(exact, as SNF(c * A) = c * SNF(A)), then elimination modulo |det| / c**k
+(Kannan-Bachem, Hafner-McCurley), so intermediates stay near the size of
+the determinant.  smith_certificate returns U, D, V from an elimination
+over Z, one clearing round per pivot, whose entries are not bounded.  On
+the unit-weight family it takes 13 ms at n = 19 and 114 ms at n = 24, on
+a 2-vCPU Xeon with Python 3.11, against 0.7 ms and 5.6 ms for the
+divisors; ``ksing snf`` runs it alone and prints the diagonal of D.
 """
 
 from __future__ import annotations
@@ -167,42 +169,6 @@ def _unchecked(entries: tuple) -> IntMatrix:
     m.entries = entries
     m.first_column = None
     return m
-
-
-class SnfDecomposition:
-    """Smith normal form of ``matrix``, with its certificate on demand.
-
-    ``divisors`` lists the full diagonal of D: nonnegative, each nonzero
-    one divides the next, and zeros trail.  ``U``, ``D`` and ``V`` are the
-    certificate U @ matrix @ V == D with U and V unimodular (|det| = 1).
-    The certificate comes from a separate elimination whose entries are
-    not bounded; it runs once, on the first read of U, D or V, so a caller
-    that reads only ``divisors`` never pays for it.
-    """
-
-    __slots__ = ("matrix", "divisors", "_certificate")
-
-    def __init__(self, matrix: IntMatrix, divisors: tuple[int, ...], certificate=None):
-        self.matrix = matrix
-        self.divisors = divisors
-        self._certificate = certificate
-
-    def _built(self) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-        if self._certificate is None:
-            self._certificate = _snf_certificate(self.matrix)
-        return self._certificate
-
-    @property
-    def U(self) -> IntMatrix:
-        return self._built()[0]
-
-    @property
-    def D(self) -> IntMatrix:
-        return self._built()[1]
-
-    @property
-    def V(self) -> IntMatrix:
-        return self._built()[2]
 
 
 def unipotent_inverse(m: IntMatrix) -> IntMatrix:
@@ -357,8 +323,8 @@ def pfaffian(m: IntMatrix) -> int:
     return sign * prev
 
 
-def smith_normal_form(m: IntMatrix) -> SnfDecomposition:
-    """Smith normal form of m; the U, V certificate is built on demand.
+def smith_normal_form(m: IntMatrix) -> tuple[int, ...]:
+    """Smith divisors of m: the diagonal of D in smith_certificate(m).
 
     For square nonsingular m the divisors come from four steps whose
     entries stay bounded: unimodular eliminations on +-1 pivots over Z
@@ -368,16 +334,17 @@ def smith_normal_form(m: IntMatrix) -> SnfDecomposition:
     c * SNF(B), each divisor of A is c times one of A / c, and R / c**k = 1
     leaves nothing to eliminate, as for G(n, d) of ktheory.pipeline_divisors
     at prime n, which is n times a unipotent matrix.  A singular or
-    non-square m goes straight to the certificate elimination, which also
-    gives the trailing zero divisors (gcd(0, q) = q downstream).  Reading
-    U, D or V of the result runs that elimination, whose entries are
-    unbounded.
+    non-square m takes the diagonal of smith_certificate, which also gives
+    the trailing zero divisors (gcd(0, q) = q downstream).
+
+    >>> smith_normal_form(IntMatrix([[2, 0], [0, 3]]))
+    (1, 6)
     """
     if m.is_square:
         block = _unit_pivot_block(m)
         ones = (1,) * (m.rows - len(block))
         if not block:
-            return SnfDecomposition(m, ones)
+            return ones
         whole = block is m.entries  # then m keeps its recorded first column
         r = abs(determinant(m if whole else _unchecked(block)))
         if r:
@@ -385,12 +352,11 @@ def smith_normal_form(m: IntMatrix) -> SnfDecomposition:
             c = math.gcd(*(recorded or [x for row in block for x in row]))
             r //= c ** len(block)
             if r == 1:
-                return SnfDecomposition(m, ones + (c,) * len(block))
+                return ones + (c,) * len(block)
             a = block if c == 1 else tuple(tuple(x // c for x in row) for row in block)
-            return SnfDecomposition(m, ones + tuple(c * x for x in _divisors_mod(a, r)))
-    cert = _snf_certificate(m)
-    diagonal = tuple(cert[1][i, i] for i in range(min(m.rows, m.cols)))
-    return SnfDecomposition(m, diagonal, cert)
+            return ones + tuple(c * x for x in _divisors_mod(a, r))
+    d = smith_certificate(m)[1]
+    return tuple(d[i, i] for i in range(min(m.rows, m.cols)))
 
 
 def _unit_pivot_block(m: IntMatrix) -> tuple[tuple[int, ...], ...]:
@@ -507,7 +473,7 @@ def _divisors_mod(a: tuple[tuple[int, ...], ...], r: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _snf_certificate(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+def smith_certificate(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """Unimodular U, V and diagonal D with U @ m @ V == D.
 
     Reduction over Z on w = [[m, I], [I, 0]]: row operations on the top
@@ -516,7 +482,15 @@ def _snf_certificate(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     move the pivot to (t, t), reduce column t below it and row t right of
     it to floor remainders, and pivot next on the least remainder.  Once
     none is left, fold in a row the pivot does not divide, so that each
-    divisor divides the next.  Entries are not bounded.
+    divisor divides the next.  The diagonal of D is then smith_normal_form
+    of m: nonnegative, each nonzero entry dividing the next, zeros last.
+    Entries are not bounded: on the unit-weight family U and V reach 1,155
+    bits at n = 19 and 29,760 bits at n = 32.
+
+    >>> m = IntMatrix([[2, 4], [6, 8]])
+    >>> u, d, v = smith_certificate(m)
+    >>> d.to_lists(), u @ m @ v == d
+    ([[2, 0], [0, 4]], True)
     """
     nrows, ncols = m.rows, m.cols
     w = [list(row) + [int(i == j) for j in range(nrows)] for i, row in enumerate(m.entries)]

@@ -13,6 +13,7 @@ import pytest
 
 import ksing.cli
 import ksing.ktheory
+import ksing.linalg
 from ksing import KTheoryReport, SourceUnavailable, matrix_from_source, quiver_from_json
 from ksing.cli import main
 
@@ -226,6 +227,50 @@ def test_snf_from_params(capsys):
     )
     assert code == 0
     assert "divisors: 3, 3" in out
+
+
+@pytest.mark.parametrize("source", ["pipeline", "theorem-pipeline"])
+def test_snf_fixture_takes_the_default_source_under_either_name(capsys, source):
+    plain = run_cli(capsys, "snf", "--fixture", "paper-low-dim")
+    assert plain[0] == 0
+    assert run_cli(capsys, "snf", "--fixture", "paper-low-dim", "--source", source) == plain
+
+
+@pytest.mark.parametrize(
+    "argv, divisors",
+    [
+        (("--fixture", "paper-low-dim"), "1, 1, 1, 26"),
+        (
+            ("--n", "12", "--d", "12", "--weights", ",".join(["1"] * 12)),
+            "1, 1, 1, 1, 1, 1, 1, 1, 32, 7776, 2985984",
+        ),
+    ],
+)
+def test_snf_runs_one_elimination(capsys, monkeypatch, argv, divisors):
+    # The divisors are read off the certificate's D, so the modular
+    # elimination of smith_normal_form never runs.
+    def refuse(a, r):
+        raise AssertionError("modular elimination was run")
+
+    monkeypatch.setattr(ksing.linalg, "_divisors_mod", refuse)
+    code, out, err = run_cli(capsys, "snf", *argv)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == f"divisors: {divisors}"
+
+
+@pytest.mark.parametrize(
+    "argv, recorded",
+    [
+        (("--fixture", "paper-low-dim"), "snf_paper_low_dim.json"),
+        (("--n", "5", "--d", "3", "--weights", "1,2,2"), "snf_5_3_1_2_2.json"),
+    ],
+)
+def test_snf_json_matches_the_recorded_certificate(capsys, argv, recorded):
+    # Recorded while snf still ran both eliminations: U, D, V and divisors
+    # must stay byte for byte what they were.
+    code, out, err = run_cli(capsys, "snf", *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    assert out == (Path(__file__).parent / "data" / recorded).read_text()
 
 
 def test_verify_paper_low_dim(capsys):
@@ -446,6 +491,23 @@ def test_sweep_range_too_large(capsys):
         (("--primes", "2", "--jobs", "0"), "InputError: --jobs must be at least 1"),
         # No prime reads the exponent, and it is still refused.
         (("--primes", "", "--exponent", "0"), "NonPositiveExponent"),
+        # Nor a dimension below 2, which would draw no weights at all.
+        (
+            ("--weights-mode", "all", "--d", "1", "--primes", "2"),
+            "DimensionTooSmall: dimension d must be at least 2, got 1",
+        ),
+        (
+            ("--weights-mode", "all", "--d", "0-1", "--primes", "2"),
+            "DimensionTooSmall: dimension d must be at least 2, got 0",
+        ),
+        (
+            ("--weights-mode", "all", "--d=-4-3", "--primes", "2"),
+            "DimensionTooSmall: dimension d must be at least 2, got -4",
+        ),
+        (
+            ("--weights-mode", "all", "--d", "1,3", "--primes", ""),
+            "DimensionTooSmall: dimension d must be at least 2, got 1",
+        ),
     ],
 )
 def test_sweep_refuses_a_count_flag_below_one(capsys, flags, error):

@@ -250,10 +250,8 @@ def pipeline_divisors(n: int, d: int) -> tuple[int, ...]:
     diagonal is n and det G = n**(d-1).  The divisors of M are n - d ones
     followed by the divisors of G: coker M = Z[y]/(y**(d-1), g_n(y)),
     whatever the weights are.  With D = diag((-1)**i), D G D is the
-    Toeplitz matrix of the C(n, i + 1), with the same divisors; that is the
-    one eliminated.  For prime n, n divides C(n, i + 1) for
-    i < d - 1 <= n - 1, so G = n * (unipotent) and its divisors are d - 1
-    copies of n, which smith_normal_form reads off G's content.
+    Toeplitz matrix of the C(n, i + 1), with the same divisors; matrices of
+    that form are the ones eliminated below.
 
     Proof sketch.  Write k = n - 1, s = (-1)**(d-1), f(t) = prod_j
     (1 - t**a_j) = sum_i c_i t**i and N_m for the m x m lower shift, so
@@ -280,11 +278,11 @@ def pipeline_divisors(n: int, d: int) -> tuple[int, ...]:
         nonzero eigenvalues over n.  As prod_(zeta != 1) (1 - zeta**a) = n
         for gcd(a, n) = 1, det M = (-1)**(n-1) * n**(d-1).
 
-    Prime by prime.  Write m = d - 1 and q = l**v for each prime power
-    l**v || n.  Where trial division up to m factors n and the q - 1 add
-    up to less than m, so that every q <= m, the divisors come from one
-    (q-1)x(q-1) block per q (g) instead of G itself; every other (n, d)
-    takes the Smith form of G.
+    Prime by prime.  With m = d - 1, trial division by p <= m, while p * p
+    is at most the rest, splits n into the q = l**v || n with l <= m and a
+    rest N with no prime up to m.  Each q takes a block with |det| a power
+    of l: that of (g) where 2m >= 3q, else G(q, d) of (f), which was faster
+    where q <= m < 1.5q.  N (a prime n, say) takes G(N, d); see (h).
 
     (f) g_n(y) = prod Phi_e(1 - y) over the divisors e > 1 of n, and in
         Z_l[y]/(y**m) an element is a unit exactly when its constant term
@@ -300,6 +298,9 @@ def pipeline_divisors(n: int, d: int) -> tuple[int, ...]:
         i holds the coefficients of y**(m+i) mod g_q (_companion_block).
         Its cokernel is generated by 1, ..., y**(m-1), so for q - 1 <= m
         its q - 1 divisors, after m - q + 1 ones, are those of G(q, d).
+    (h) For a prime l | N and 0 < j <= m < l, j C(N, j) = N C(N-1, j-1), so
+        G(N, d) is N times a unipotent matrix: its divisors are m copies of
+        N, its content, which smith_normal_form reads off.
 
     >>> pipeline_divisors(5, 3)
     (1, 1, 5, 5)
@@ -319,18 +320,18 @@ def pipeline_divisors(n: int, d: int) -> tuple[int, ...]:
             parts.append(q)
         p += 1
     if rest > 1:
-        # No prime below p divides rest, so a rest of at most m is a prime.
+        # No prime below p divides rest: a prime if at most m, else an N (h).
         parts.append(rest)
-    # Blocks of m or more rows in all take longer than G (and need q <= m).
-    if sum(parts) - len(parts) < m:
-        chain = [1] * m
-        for q in parts:
+    chain = [1] * m
+    for q in parts:
+        if 2 * m >= 3 * q:
             block = smith_normal_form(_companion_block(q, m))
-            for i, x in enumerate(block, m - q + 1):
-                chain[i] *= x
-        return (1,) * (n - d) + tuple(chain)
-    g = [math.comb(n, i) for i in range(1, d)]  # D G D, see the statement
-    return (1,) * (n - d) + smith_normal_form(IntMatrix.lower_toeplitz(g))
+        else:  # D G(q, d) D, see the statement
+            g = [math.comb(q, i) for i in range(1, d)]
+            block = smith_normal_form(IntMatrix.lower_toeplitz(g))
+        for i, x in enumerate(block, m - len(block)):
+            chain[i] *= x
+    return (1,) * (n - d) + tuple(chain)
 
 
 def _companion_block(q: int, m: int) -> IntMatrix:

@@ -588,18 +588,47 @@ def _prime_power_parts(n):
     return parts
 
 
+def _divisors_of_g_by_extended_gcds(n, d):
+    """Smith divisors of the signed G(n, d), whole, by _divisors_mod alone.
+
+    G has no +-1 entry (0 < i + 1 < n), so the content step and the
+    extended-gcd elimination modulo n**(d-1) / c**(d-1) give its divisors
+    without smith_normal_form, which takes the local route on the blocks
+    pipeline_divisors passes.
+    """
+    g = [(-1) ** i * comb(n, i + 1) for i in range(d - 1)]
+    c = gcd(*g)
+    rows = tuple(
+        tuple(g[i - j] // c if j <= i else 0 for j in range(d - 1)) for i in range(d - 1)
+    )
+    r = (n // c) ** (d - 1)
+    divisors = (1,) * (d - 1) if r == 1 else ksing.linalg._divisors_mod(rows, r)
+    return tuple(c * x for x in divisors)
+
+
 def test_prime_by_prime_route_matches_the_smith_form_of_g():
-    # Both routes of pipeline_divisors against the Smith form of G built
-    # here: one block per prime power where the l**v - 1 add up to less
-    # than d - 1 (proof (f)-(g)), G itself elsewhere.
+    # pipeline_divisors, one block per prime power (proof (f)-(h)), against
+    # the extended-gcd elimination of all of G, which it never runs.
     checked = 0
     for n in range(2, 41):
         for d in range(2, n + 1):
-            g = [(-1) ** i * comb(n, i + 1) for i in range(d - 1)]
-            want = (1,) * (n - d) + smith_normal_form(IntMatrix.lower_toeplitz(g))
+            want = (1,) * (n - d) + _divisors_of_g_by_extended_gcds(n, d)
             assert pipeline_divisors(n, d) == want, (n, d)
             checked += 1
     assert checked == 780
+
+
+def test_pipeline_divisors_never_runs_the_extended_gcd_elimination(monkeypatch):
+    # Every block pipeline_divisors passes has |det| a power of one prime
+    # (or content N, proof (h)), so _divisors_local does all its work.
+    def refuse(a, r):
+        raise AssertionError(f"_divisors_mod called with r = {r}")
+
+    monkeypatch.setattr(ksing.linalg, "_divisors_mod", refuse)
+    pairs = [(n, d) for n in range(2, 61) for d in range(2, n + 1)]
+    for n, d in pairs + [(202, 100), (58, 29), (240, 240)]:
+        divisors = pipeline_divisors(n, d)
+        assert prod(divisors) == n ** (d - 1), (n, d)
 
 
 def _l_part(x, l):
@@ -645,16 +674,28 @@ def test_l_part_at_v_1_is_the_closed_form_on_random_draws(data):
     assert [_l_part(x, l) for x in divisors] == _closed_form_l_part(n, d, l)
 
 
-@pytest.mark.parametrize("n", [120, 210, 240])
-def test_pipeline_divisors_reach_n_equals_d_in_the_hundreds(n):
-    # Eliminating all of G(n, n) takes 0.5 s to 10 s at these n on a 2-vCPU
-    # Xeon; these checks hold whichever route produced the divisors.
-    divisors = pipeline_divisors(n, n)
+def _check_reach(n, d):
+    divisors = pipeline_divisors(n, d)
     assert len(divisors) == n - 1
     assert all(b % a == 0 for a, b in zip(divisors, divisors[1:]))
-    assert prod(divisors) == n ** (n - 1)
+    assert prod(divisors) == n ** (d - 1)
     for l, v in _prime_power_parts(n).items():
-        assert sum(1 for x in divisors if x % l == 0) == min(l**v - 1, n - 1), l
+        assert sum(1 for x in divisors if x % l == 0) == min(l**v - 1, d - 1), l
+
+
+@pytest.mark.parametrize("n", [120, 210, 240])
+def test_pipeline_divisors_reach_n_equals_d_in_the_hundreds(n):
+    # Eliminating all of G(n, n) took 0.5 s to 10 s at these n on a 2-vCPU
+    # Xeon; one small block per prime power takes 2 to 15 ms.  These checks
+    # hold whichever route produced the divisors.
+    _check_reach(n, n)
+
+
+@pytest.mark.parametrize("n, d", [(202, 100), (58, 29)])
+def test_pipeline_divisors_reach_a_prime_above_d(n, d):
+    # The part at the prime 101 or 29 has content N and needs no
+    # elimination (proof (h)); eliminating all of G took 80 ms and 2 ms.
+    _check_reach(n, d)
 
 
 def test_pipeline_divisors_refuses_d_outside_2_to_n():

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import ksing
 from ksing import (
@@ -590,3 +592,32 @@ class TestSmithNormalForm:
             for x in smith_normal_form(m):
                 prod *= x
             assert prod == abs(determinant(m))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    l=st.sampled_from((2, 3, 5, 7)),
+    exponents=st.lists(st.integers(0, 12), min_size=1, max_size=8),
+    seed=st.integers(0, 2**32 - 1),
+    row_0=st.sampled_from(("as drawn", "times l")),
+)
+@example(l=3, exponents=[1, 2, 2, 5], seed=1, row_0="as drawn")
+@example(l=5, exponents=[0, 0, 1, 3], seed=2, row_0="times l")
+@example(l=2, exponents=[0] * 7 + [70], seed=3, row_0="as drawn")
+def test_local_divisors_match_the_certificate_and_extended_gcds(l, exponents, seed, row_0):
+    # U diag(l**e_i) V with U, V unimodular, so |det| is a power of l.  With
+    # every e_i >= 1 no entry is prime to l; row 0 times l moves the first
+    # unit pivot out of row 0.  Above 2**64 the first modulus tried is below
+    # |det|; the last example's divisor 2**70 makes that try start again.
+    rng = random.Random(seed)
+    k = len(exponents)
+    d = IntMatrix([[l**e if i == j else 0 for j in range(k)] for i, e in enumerate(exponents)])
+    rows = (random_unimodular(rng, k) @ d @ random_unimodular(rng, k)).to_lists()
+    if row_0 == "times l":
+        rows[0] = [l * x for x in rows[0]]
+    m = IntMatrix(rows)
+    r = abs(determinant(m))
+    got = ksing.linalg._divisors_local(m.entries, r, l)
+    diagonal = smith_certificate(m)[1]
+    assert got == tuple(diagonal[i, i] for i in range(k))
+    assert got == ksing.linalg._divisors_mod(m.entries, r)

@@ -281,8 +281,8 @@ def pipeline_divisors(n: int, d: int) -> tuple[int, ...]:
     Prime by prime.  With m = d - 1, trial division by p <= m, while p * p
     is at most the rest, splits n into the q = l**v || n with l <= m and a
     rest N with no prime up to m.  Each q takes a block with |det| a power
-    of l: that of (g) where 2m >= 3q, else G(q, d) of (f), which was faster
-    where q <= m < 1.5q.  N (a prime n, say) takes G(N, d); see (h).
+    of l: that of (g) where q <= m, else G(q, d) of (f).  N (a prime n,
+    say) takes G(N, d); see (h).
 
     (f) g_n(y) = prod Phi_e(1 - y) over the divisors e > 1 of n, and in
         Z_l[y]/(y**m) an element is a unit exactly when its constant term
@@ -322,16 +322,16 @@ def pipeline_divisors(n: int, d: int) -> tuple[int, ...]:
     if rest > 1:
         # No prime below p divides rest: a prime if at most m, else an N (h).
         parts.append(rest)
-    chain = [1] * m
+    chain = None
     for q in parts:
-        if 2 * m >= 3 * q:
+        if q <= m:
             block = smith_normal_form(_companion_block(q, m))
         else:  # D G(q, d) D, see the statement
             g = [math.comb(q, i) for i in range(1, d)]
             block = smith_normal_form(IntMatrix.lower_toeplitz(g))
-        for i, x in enumerate(block, m - len(block)):
-            chain[i] *= x
-    return (1,) * (n - d) + tuple(chain)
+        block = (1,) * (m - len(block)) + block
+        chain = block if chain is None else tuple(map(operator.mul, chain, block))
+    return (1,) * (n - d) + chain
 
 
 def _companion_block(q: int, m: int) -> IntMatrix:

@@ -26,13 +26,14 @@ returns a plain value.  smith_normal_form returns the divisors of a square
 nonsingular matrix with bounded entries: +-1 pivots over Z, taken from the
 shortest rows, then the content c of the k x k block left is divided out
 (exact, as SNF(c * A) = c * SNF(A)), then elimination modulo r = |det| /
-c**k, so intermediates stay below r: over the local ring Z/l**e with unit
-pivots where r = l**e (Cohen, section 2.4), else with extended gcds
-(Kannan-Bachem, Hafner-McCurley).  smith_certificate returns U, D, V from
-an elimination over Z, one clearing round per pivot, whose entries are
-not bounded.  On the unit-weight family it takes 13 ms at n = 19 and 114
-ms at n = 24, on a 2-vCPU Xeon with Python 3.11, against 0.7 ms and 5.6 ms
-for the divisors; ``ksing snf`` runs it alone and prints the diagonal of D.
+c**k, so intermediates stay near the size of r: over the local ring
+Z/l**e with unit pivots where r = l**e (Cohen, section 2.4), else with
+extended gcds (Kannan-Bachem, Hafner-McCurley).  smith_certificate returns
+U, D, V from an elimination over Z, one clearing round per pivot, whose
+entries are not bounded.  On the unit-weight family it takes 13 ms at
+n = 19 and 114 ms at n = 24, on a 2-vCPU Xeon with Python 3.11, against
+0.7 ms and 5.6 ms for the divisors; ``ksing snf`` runs it alone and prints
+the diagonal of D.
 """
 
 from __future__ import annotations
@@ -329,8 +330,8 @@ def smith_normal_form(m: IntMatrix) -> tuple[int, ...]:
 
     For square nonsingular m the divisors come from four steps whose
     entries stay bounded: unimodular eliminations on +-1 pivots over Z
-    (each a divisor 1; not for a lower_toeplitz m), R = |det| of the k x k
-    block A left (see determinant), its content c, and an elimination of
+    (each contributes a divisor 1), R = |det| of the k x k block A that
+    remains (see determinant), its content c, and an elimination of
     A / c modulo r = R / c**k: _divisors_local where r = l**e for a prime
     l <= k + 1, found by trial division, else _divisors_mod.  As SNF(c * B)
     = c * SNF(B), each divisor of A is c times one of A / c, and r = 1 needs
@@ -342,13 +343,15 @@ def smith_normal_form(m: IntMatrix) -> tuple[int, ...]:
     (1, 6)
     """
     if m.is_square:
-        block = m.entries if m.first_column else _unit_pivot_block(m)
+        block = _unit_pivot_block(m)
         ones = (1,) * (m.rows - len(block))
         if not block:
             return ones
-        r = abs(determinant(m if block is m.entries else _unchecked(block)))
+        whole = block is m.entries  # then m keeps its recorded first column
+        r = abs(determinant(m if whole else _unchecked(block)))
         if r:
-            c = math.gcd(*(m.first_column or [x for row in block for x in row]))
+            recorded = m.first_column if whole else None
+            c = math.gcd(*(recorded or [x for row in block for x in row]))
             r //= c ** len(block)
             if r == 1:
                 return ones + (c,) * len(block)
@@ -369,10 +372,13 @@ def _unit_pivot_block(m: IntMatrix) -> tuple[tuple[int, ...], ...]:
     and drops its row and column, until no +-1 entry is left.  With every
     pivot a unit, the block left is a Schur complement whose entries are
     minors of m, so they stay within the Hadamard bound.  An m without a
-    +-1 entry is the block, as are the companion blocks of g_(l**v) that
-    ktheory.pipeline_divisors passes, whose entries are all divisible by l.
+    +-1 entry is the block; so is every matrix ktheory.pipeline_divisors
+    passes: G(q, d) for q > d - 1, whose entries are C(q, j) with 0 < j < q,
+    and the companion blocks of g_q, whose entries are all divisible by l.
     """
-    if not any(1 in row or -1 in row for row in m.entries):
+    # A recorded first column holds every nonzero entry of the matrix.
+    lines = m.entries if m.first_column is None else (m.first_column,)
+    if not any(1 in row or -1 in row for row in lines):
         return m.entries
     rows = {i: {j: x for j, x in enumerate(row) if x} for i, row in enumerate(m.entries)}
     left = set(range(m.cols))
@@ -478,42 +484,35 @@ def _divisors_local(a: tuple[tuple[int, ...], ...], r: int, l: int) -> tuple[int
     Over Z/l**e an entry x prime to l is a unit, a divisor 1: the other
     rows minus multiples of x's row clear its column, and then clearing its
     row by column operations changes nothing else.  With no unit left,
-    gcd(modulus, entries) = g divides l**e, so it is a power of l dividing
-    every divisor to come; the block over g has determinant s / g**k, for s
-    that of the block.  Entries stay below the modulus t | s, which for r
-    above 2**64 starts at l**(e // 3 + 1), and at r after a block 0 mod t.
+    gcd(r, entries) = g divides l**e, so it is a power of l dividing every
+    divisor to come; the block over g has determinant r / g**k.  A row is
+    reduced modulo r when it becomes the pivot row, not at each update, so
+    each update is one product and a sum, adding less than r**2 to an entry.
     """
-    for t in (l ** (round(math.log(r, l)) // 3 + 1), r) if r >> 64 else (r,):
-        out, c, s = [], 1, r
-        b = [[x % t for x in row] for row in a]
-        while s > 1:
-            for i, p in enumerate(b):
-                for j, x in enumerate(p):
-                    if x % l:
-                        break
-                else:
-                    continue
+    out, c = [], 1
+    b = [list(row) for row in a]
+    while r > 1:
+        for i, p in enumerate(b):
+            j = next((j for j, x in enumerate(p) if x % l), None)
+            if j is not None:
                 break
-            else:
-                g = math.gcd(t, *[x for row in b for x in row])
-                if g == t < s:
-                    break  # every divisor to come is a multiple of t: redo at r
-                s //= g ** len(b)
-                c *= g
-                t = min(t // g, s)
-                b = [[x // g % t for x in row] for row in b]
-                continue
-            del b[i]
-            f = t - pow(p.pop(j), -1, t)
-            nonzeros = [(h, x) for h, x in enumerate(p) if x]
-            for row in b:
-                y = row.pop(j) * f % t
-                if y:
-                    for h, x in nonzeros:
-                        row[h] = (row[h] + y * x) % t
-            out.append(c)
         else:
-            return tuple(out) + (c,) * len(b)
+            g = math.gcd(r, *[x for row in b for x in row])
+            r //= g ** len(b)
+            c *= g
+            b = [[x // g % r for x in row] for row in b]
+            continue
+        del b[i]
+        p = [x % r for x in p]
+        f = r - pow(p.pop(j), -1, r)
+        nonzeros = [(h, x) for h, x in enumerate(p) if x]
+        for row in b:
+            y = row.pop(j) * f % r
+            if y:
+                for h, x in nonzeros:
+                    row[h] += y * x
+        out.append(c)
+    return tuple(out) + (c,) * len(b)
 
 
 def smith_certificate(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:

@@ -607,8 +607,8 @@ class TestSmithNormalForm:
 def test_local_divisors_match_the_certificate_and_extended_gcds(l, exponents, seed, row_0):
     # U diag(l**e_i) V with U, V unimodular, so |det| is a power of l.  With
     # every e_i >= 1 no entry is prime to l; row 0 times l moves the first
-    # unit pivot out of row 0.  Above 2**64 the first modulus tried is below
-    # |det|; the last example's divisor 2**70 makes that try start again.
+    # unit pivot out of row 0.  The last example puts one divisor 2**70 after
+    # six 1s, so six unit pivots run on entries far above a machine word.
     rng = random.Random(seed)
     k = len(exponents)
     d = IntMatrix([[l**e if i == j else 0 for j in range(k)] for i, e in enumerate(exponents)])

@@ -25,15 +25,14 @@ Two eliminations give the Smith form, each through one function that
 returns a plain value.  smith_normal_form returns the divisors of a square
 nonsingular matrix with bounded entries: +-1 pivots over Z, taken from the
 shortest rows, then the content c of the k x k block left is divided out
-(exact, as SNF(c * A) = c * SNF(A)), then elimination modulo r = |det| /
-c**k, so intermediates stay near the size of r: over the local ring
-Z/l**e with unit pivots where r = l**e (Cohen, section 2.4), else with
-extended gcds (Kannan-Bachem, Hafner-McCurley).  smith_certificate returns
-U, D, V from an elimination over Z, one clearing round per pivot, whose
-entries are not bounded.  On the unit-weight family it takes 13 ms at
-n = 19 and 114 ms at n = 24, on a 2-vCPU Xeon with Python 3.11, against
-0.7 ms and 5.6 ms for the divisors; ``ksing snf`` runs it alone and prints
-the diagonal of D.
+(exact, as SNF(c * A) = c * SNF(A)), then elimination over Z/r for r =
+|det| / c**k, so intermediates stay near the size of r: unit pivots, and
+a combination step where no entry is a unit (Z/r has stable rank 1;
+Storjohann 2000).  smith_certificate returns U, D, V from an elimination
+over Z, one clearing round per pivot, whose entries are not bounded.  On
+the unit-weight family it takes 13 ms at n = 19 and 114 ms at n = 24, on a
+2-vCPU Xeon with Python 3.11, against 0.7 ms and 5.6 ms for the divisors;
+``ksing snf`` runs it alone and prints the diagonal of D.
 """
 
 from __future__ import annotations
@@ -331,10 +330,9 @@ def smith_normal_form(m: IntMatrix) -> tuple[int, ...]:
     For square nonsingular m the divisors come from four steps whose
     entries stay bounded: unimodular eliminations on +-1 pivots over Z
     (each contributes a divisor 1), R = |det| of the k x k block A that
-    remains (see determinant), its content c, and an elimination of
-    A / c modulo r = R / c**k: _divisors_local where r = l**e for a prime
-    l <= k + 1, found by trial division, else _divisors_mod.  As SNF(c * B)
-    = c * SNF(B), each divisor of A is c times one of A / c, and r = 1 needs
+    remains (see determinant), its content c, and _divisors_mod, the
+    elimination of A / c over Z/r for r = R / c**k.  As SNF(c * B) =
+    c * SNF(B), each divisor of A is c times one of A / c, and r = 1 needs
     none, as for G(N, d) in ktheory.pipeline_divisors.  A singular or
     non-square m takes the diagonal of smith_certificate, which also gives
     the trailing zero divisors (gcd(0, q) = q downstream).
@@ -356,9 +354,6 @@ def smith_normal_form(m: IntMatrix) -> tuple[int, ...]:
             if r == 1:
                 return ones + (c,) * len(block)
             a = block if c == 1 else tuple(tuple(x // c for x in row) for row in block)
-            l = next((p for p in range(2, len(a) + 2) if r % p == 0), None)
-            if l and l ** round(math.log(r, l)) == r:
-                return ones + tuple(c * x for x in _divisors_local(a, r, l))
             return ones + tuple(c * x for x in _divisors_mod(a, r))
     d = smith_certificate(m)[1]
     return tuple(d[i, i] for i in range(min(m.rows, m.cols)))
@@ -405,103 +400,55 @@ def _unit_pivot_block(m: IntMatrix) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(rows[i].get(j, 0) for j in order) for i in sorted(rows))
 
 
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, u, v) with u*a + v*b == g == gcd(a, b) for a, b >= 0.
-
-    Returns (a, 1, 0) whenever a divides b, so a pivot that already
-    divides an entry is left in place; otherwise the row and column passes
-    of _divisors_mod could undo each other forever.
-    """
-    if a and b % a == 0:
-        return a, 1, 0
-    u0, v0, u1, v1 = 1, 0, 0, 1
-    while b:
-        q, r = divmod(a, b)
-        a, b = b, r
-        u0, v0, u1, v1 = u1, v1, u0 - q * u1, v0 - q * v1
-    return a, u0, v0
-
-
 def _divisors_mod(a: tuple[tuple[int, ...], ...], r: int) -> tuple[int, ...]:
-    """Smith divisors of a square nonsingular a, given r = |det a|.
+    """Smith divisors of a square a with r = |det a|, by elimination over Z/r.
 
-    Works on the last row and column of the block, modulo r, with the
-    unimodular 2x2 operations of extended gcds (Cohen, Algorithm 2.4.14):
-    clear the row by column operations and the column by row operations
-    until both stay clear, and fold in a row the pivot does not divide.
-    The divisor is gcd(pivot, r); the lattice spanned by the rest of the
-    block has index r / divisor, so r shrinks to that.  Divisors come out
-    smallest first.
-    """
-    out = []
-    for i in range(len(a) - 1, -1, -1):
-        a = [[x % r for x in row[: i + 1]] for row in a[: i + 1]]
-        pivot_row = a[i]
-        while True:
-            # Zero stands for r here, so that every gcd step below makes
-            # the pivot strictly smaller and the loop ends.
-            if pivot_row[i] == 0:
-                pivot_row[i] = r
-            for j in range(i - 1, -1, -1):
-                b = pivot_row[j]
-                if b:
-                    g, u, v = _xgcd(pivot_row[i], b)
-                    x, y = pivot_row[i] // g, b // g
-                    for row in a:
-                        ri, rj = row[i], row[j]
-                        row[i] = (u * ri + v * rj) % r
-                        row[j] = (x * rj - y * ri) % r
-            moved = False
-            for j in range(i - 1, -1, -1):
-                b = a[j][i]
-                if b:
-                    g, u, v = _xgcd(pivot_row[i], b)
-                    x, y = pivot_row[i] // g, b // g
-                    other = a[j]
-                    a[j] = [(x * t - y * p) % r for p, t in zip(pivot_row, other)]
-                    if (u, v) != (1, 0):
-                        pivot_row = a[i] = [
-                            (u * p + v * t) % r for p, t in zip(pivot_row, other)
-                        ]
-                        moved = True
-            if moved:
-                continue
-            g = math.gcd(pivot_row[i], r)
-            if g == 1:
-                break
-            offender = next((row for row in a[:i] if any(x % g for x in row[:i])), None)
-            if offender is None:
-                break
-            pivot_row = a[i] = [(p + t) % r for p, t in zip(pivot_row, offender)]
-        out.append(g)
-        r //= g
-    return tuple(out)
-
-
-def _divisors_local(a: tuple[tuple[int, ...], ...], r: int, l: int) -> tuple[int, ...]:
-    """Smith divisors of a square a with r = |det a| = l**e, l prime.
-
-    Over Z/l**e an entry x prime to l is a unit, a divisor 1: the other
-    rows minus multiples of x's row clear its column, and then clearing its
-    row by column operations changes nothing else.  With no unit left,
-    gcd(r, entries) = g divides l**e, so it is a power of l dividing every
-    divisor to come; the block over g has determinant r / g**k.  A row is
-    reduced modulo r when it becomes the pivot row, not at each update, so
-    each update is one product and a sum, adding less than r**2 to an entry.
+    An entry x prime to r is a unit, a divisor 1: the other rows minus
+    multiples of x's row clear its column, and then clearing its row by
+    column operations changes nothing else.  Units are tested modulo s,
+    with s = l where r = l**e for the least prime l <= k + 1 dividing r
+    (then x is a unit exactly when l does not divide it), else s = r.
+    With no unit left, g = gcd(r, entries) divides every divisor to come;
+    it is divided out of the block, and g**k out of r.  With no unit and
+    g = 1, Z/r has stable rank 1 (Storjohann 2000, stab): later rows, each
+    times the largest divisor of r prime to the first row's content, are
+    added to the first row until that content is prime to r, and then
+    columns to column 0 in the same way until the corner is a unit.  A row
+    is reduced modulo r when it becomes the pivot row, not at each update,
+    so each update is one product and a sum, adding less than r**2 to an
+    entry.  Divisors come out smallest first.
     """
     out, c = [], 1
     b = [list(row) for row in a]
+    l = next((p for p in range(2, len(b) + 2) if r % p == 0), 1)
+    s = l if pow(l, r.bit_length(), r) == 0 else r
     while r > 1:
         for i, p in enumerate(b):
-            j = next((j for j, x in enumerate(p) if x % l), None)
+            j = next((j for j, x in enumerate(p) if x % s and math.gcd(x, s) == 1), None)
             if j is not None:
                 break
         else:
             g = math.gcd(r, *[x for row in b for x in row])
-            r //= g ** len(b)
-            c *= g
-            b = [[x // g % r for x in row] for row in b]
-            continue
+            if g > 1:
+                r //= g ** len(b)
+                c *= g
+                s = math.gcd(s, r)
+                b = [[x // g % r for x in row] for row in b]
+                continue
+            i = j = 0
+            p = b[0]
+            for row in b[1:]:
+                g = math.gcd(r, *p)
+                if g == 1:
+                    break
+                t = _part_prime_to(r, g)
+                p[:] = [(x + t * y) % r for x, y in zip(p, row)]
+            for h in range(1, len(p)):
+                if math.gcd(p[0], r) == 1:
+                    break
+                t = _part_prime_to(r, p[0])
+                for row in b:
+                    row[0] = (row[0] + t * row[h]) % r
         del b[i]
         p = [x % r for x in p]
         f = r - pow(p.pop(j), -1, r)
@@ -513,6 +460,15 @@ def _divisors_local(a: tuple[tuple[int, ...], ...], r: int, l: int) -> tuple[int
                     row[h] += y * x
         out.append(c)
     return tuple(out) + (c,) * len(b)
+
+
+def _part_prime_to(r: int, x: int) -> int:
+    """The largest divisor of r prime to x."""
+    g = math.gcd(r, x)
+    while g > 1:
+        r //= g
+        g = math.gcd(r, g)
+    return r
 
 
 def smith_certificate(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:

@@ -4,8 +4,9 @@ The oracles here deliberately avoid the library's own algorithms:
 determinants by cofactor expansion, Pfaffians by the 4x4 combinatorial
 formula and by Parlett-Reid elimination over the rationals, quivers by
 the literal three-step truncation, kernels / cokernels over Z/q by
-explicit enumeration of the map on (Z/q)^k, and the unipotent inverse and
-theorem matrix by their dense definitions over plain lists.
+explicit enumeration of the map on (Z/q)^k, the unipotent inverse and
+theorem matrix by their dense definitions over plain lists, and Smith
+divisors by extended gcds modulo |det|.
 """
 
 from __future__ import annotations
@@ -192,6 +193,82 @@ def random_unimodular(rng, k: int, steps: int = 12) -> IntMatrix:
         else:
             m[i] = [-x for x in m[i]]
     return IntMatrix(m)
+
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, u, v) with u*a + v*b == g == gcd(a, b) for a, b >= 0.
+
+    Returns (a, 1, 0) whenever a divides b, so a pivot that already
+    divides an entry is left in place; otherwise the row and column passes
+    of divisors_by_extended_gcds could undo each other forever.
+    """
+    if a and b % a == 0:
+        return a, 1, 0
+    u0, v0, u1, v1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        u0, v0, u1, v1 = u1, v1, u0 - q * u1, v0 - q * v1
+    return a, u0, v0
+
+
+def divisors_by_extended_gcds(a: tuple[tuple[int, ...], ...], r: int) -> tuple[int, ...]:
+    """Smith divisors of a square nonsingular a, given r = |det a|.
+
+    An oracle for ksing.linalg._divisors_mod, which pivots on units of Z/r
+    and takes no extended gcd.
+
+    Works on the last row and column of the block, modulo r, with the
+    unimodular 2x2 operations of extended gcds (Cohen, Algorithm 2.4.14):
+    clear the row by column operations and the column by row operations
+    until both stay clear, and fold in a row the pivot does not divide.
+    The divisor is gcd(pivot, r); the lattice spanned by the rest of the
+    block has index r / divisor, so r shrinks to that.  Divisors come out
+    smallest first.
+    """
+    out = []
+    for i in range(len(a) - 1, -1, -1):
+        a = [[x % r for x in row[: i + 1]] for row in a[: i + 1]]
+        pivot_row = a[i]
+        while True:
+            # Zero stands for r here, so that every gcd step below makes
+            # the pivot strictly smaller and the loop ends.
+            if pivot_row[i] == 0:
+                pivot_row[i] = r
+            for j in range(i - 1, -1, -1):
+                b = pivot_row[j]
+                if b:
+                    g, u, v = _xgcd(pivot_row[i], b)
+                    x, y = pivot_row[i] // g, b // g
+                    for row in a:
+                        ri, rj = row[i], row[j]
+                        row[i] = (u * ri + v * rj) % r
+                        row[j] = (x * rj - y * ri) % r
+            moved = False
+            for j in range(i - 1, -1, -1):
+                b = a[j][i]
+                if b:
+                    g, u, v = _xgcd(pivot_row[i], b)
+                    x, y = pivot_row[i] // g, b // g
+                    other = a[j]
+                    a[j] = [(x * t - y * p) % r for p, t in zip(pivot_row, other)]
+                    if (u, v) != (1, 0):
+                        pivot_row = a[i] = [
+                            (u * p + v * t) % r for p, t in zip(pivot_row, other)
+                        ]
+                        moved = True
+            if moved:
+                continue
+            g = gcd(pivot_row[i], r)
+            if g == 1:
+                break
+            offender = next((row for row in a[:i] if any(x % g for x in row[:i])), None)
+            if offender is None:
+                break
+            pivot_row = a[i] = [(p + t) % r for p, t in zip(pivot_row, offender)]
+        out.append(g)
+        r //= g
+    return tuple(out)
 
 
 def divisors_of(q: int) -> list[int]:

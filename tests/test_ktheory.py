@@ -42,6 +42,7 @@ from ksing import (
 
 from conftest import (
     all_valid_params,
+    divisors_by_extended_gcds,
     mod_q_annihilator_counts,
     predicted_annihilator_counts,
     zeros,
@@ -589,12 +590,11 @@ def _prime_power_parts(n):
 
 
 def _divisors_of_g_by_extended_gcds(n, d):
-    """Smith divisors of the signed G(n, d), whole, by _divisors_mod alone.
+    """Smith divisors of the signed G(n, d), whole, by extended gcds alone.
 
     G has no +-1 entry (0 < i + 1 < n), so the content step and the
     extended-gcd elimination modulo n**(d-1) / c**(d-1) give its divisors
-    without smith_normal_form, which takes the local route on the blocks
-    pipeline_divisors passes.
+    without smith_normal_form or any code of the library.
     """
     g = [(-1) ** i * comb(n, i + 1) for i in range(d - 1)]
     c = gcd(*g)
@@ -602,7 +602,7 @@ def _divisors_of_g_by_extended_gcds(n, d):
         tuple(g[i - j] // c if j <= i else 0 for j in range(d - 1)) for i in range(d - 1)
     )
     r = (n // c) ** (d - 1)
-    divisors = (1,) * (d - 1) if r == 1 else ksing.linalg._divisors_mod(rows, r)
+    divisors = (1,) * (d - 1) if r == 1 else divisors_by_extended_gcds(rows, r)
     return tuple(c * x for x in divisors)
 
 
@@ -618,17 +618,24 @@ def test_prime_by_prime_route_matches_the_smith_form_of_g():
     assert checked == 780
 
 
-def test_pipeline_divisors_never_runs_the_extended_gcd_elimination(monkeypatch):
+def test_pipeline_divisors_eliminate_only_modulo_prime_powers(monkeypatch):
     # Every block pipeline_divisors passes has |det| a power of one prime
-    # (or content N, proof (h)), so _divisors_local does all its work.
-    def refuse(a, r):
-        raise AssertionError(f"_divisors_mod called with r = {r}")
+    # (or content N, proof (h)), so _divisors_mod pivots on entries prime
+    # to that prime and never takes its combination step.
+    divisors_mod = ksing.linalg._divisors_mod
+    moduli = []
 
-    monkeypatch.setattr(ksing.linalg, "_divisors_mod", refuse)
+    def recording(a, r):
+        moduli.append(r)
+        return divisors_mod(a, r)
+
+    monkeypatch.setattr(ksing.linalg, "_divisors_mod", recording)
     pairs = [(n, d) for n in range(2, 61) for d in range(2, n + 1)]
     for n, d in pairs + [(202, 100), (58, 29), (240, 240)]:
         divisors = pipeline_divisors(n, d)
         assert prod(divisors) == n ** (d - 1), (n, d)
+    assert len(moduli) > 1000
+    assert [r for r in moduli if len(_prime_power_parts(r)) != 1] == []
 
 
 def _l_part(x, l):

@@ -28,6 +28,7 @@ from ksing.linalg import _unit_pivot_block
 
 from conftest import (
     all_valid_params,
+    divisors_by_extended_gcds,
     identity,
     laplace_det,
     matrix_sum,
@@ -594,30 +595,51 @@ class TestSmithNormalForm:
             assert prod == abs(determinant(m))
 
 
+FIRST_60_PRIMES = [p for p in range(2, 282) if all(p % q for q in range(2, p))]
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(
     l=st.sampled_from((2, 3, 5, 7)),
     exponents=st.lists(st.integers(0, 12), min_size=1, max_size=8),
+    cofactors=st.one_of(
+        st.just([1] * 8),
+        st.lists(st.sampled_from((1, 2, 3, 5, 6, 10, 15, 143)), min_size=8, max_size=8),
+    ),
+    scramble=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
     row_0=st.sampled_from(("as drawn", "times l")),
 )
-@example(l=3, exponents=[1, 2, 2, 5], seed=1, row_0="as drawn")
-@example(l=5, exponents=[0, 0, 1, 3], seed=2, row_0="times l")
-@example(l=2, exponents=[0] * 7 + [70], seed=3, row_0="as drawn")
-def test_local_divisors_match_the_certificate_and_extended_gcds(l, exponents, seed, row_0):
-    # U diag(l**e_i) V with U, V unimodular, so |det| is a power of l.  With
-    # every e_i >= 1 no entry is prime to l; row 0 times l moves the first
-    # unit pivot out of row 0.  The last example puts one divisor 2**70 after
+@example(l=3, exponents=[1, 2, 2, 5], cofactors=[1] * 4, scramble=True, seed=1, row_0="as drawn")
+@example(l=5, exponents=[0, 0, 1, 3], cofactors=[1] * 4, scramble=True, seed=2, row_0="times l")
+@example(l=2, exponents=[0] * 7 + [70], cofactors=[1] * 8, scramble=True, seed=3, row_0="as drawn")
+@example(l=2, exponents=[1, 0], cofactors=[1, 3], scramble=False, seed=0, row_0="as drawn")
+@example(l=2, exponents=[1, 1, 0], cofactors=[3, 5, 15], scramble=False, seed=0, row_0="as drawn")
+@example(l=2, exponents=[0] * 60, cofactors=FIRST_60_PRIMES, scramble=False, seed=0, row_0="as drawn")
+def test_modular_divisors_match_the_certificate_and_extended_gcds(
+    l, exponents, cofactors, scramble, seed, row_0
+):
+    # U diag(l**e_i * c_i) V with U, V unimodular (or the identity when not
+    # scrambled).  With every c_i = 1, |det| is a power of l, and with every
+    # e_i >= 1 no entry is prime to l; row 0 times l moves the first unit
+    # pivot out of row 0.  The third example puts one divisor 2**70 after
     # six 1s, so six unit pivots run on entries far above a machine word.
+    # Mixed primes in the c_i can leave no unit with gcd(r, entries) = 1,
+    # as in the last three examples: diag(2, 3), diag(6, 10, 15) and the
+    # diagonal of the first 60 primes, where each of the 59 divisors 1
+    # needs the combination step.
     rng = random.Random(seed)
     k = len(exponents)
-    d = IntMatrix([[l**e if i == j else 0 for j in range(k)] for i, e in enumerate(exponents)])
-    rows = (random_unimodular(rng, k) @ d @ random_unimodular(rng, k)).to_lists()
+    diagonal = [l**e * c for e, c in zip(exponents, cofactors)]
+    m = IntMatrix([[x if i == j else 0 for j in range(k)] for i, x in enumerate(diagonal)])
+    if scramble:
+        m = random_unimodular(rng, k) @ m @ random_unimodular(rng, k)
+    rows = m.to_lists()
     if row_0 == "times l":
         rows[0] = [l * x for x in rows[0]]
     m = IntMatrix(rows)
     r = abs(determinant(m))
-    got = ksing.linalg._divisors_local(m.entries, r, l)
-    diagonal = smith_certificate(m)[1]
-    assert got == tuple(diagonal[i, i] for i in range(k))
-    assert got == ksing.linalg._divisors_mod(m.entries, r)
+    got = ksing.linalg._divisors_mod(m.entries, r)
+    d = smith_certificate(m)[1]
+    assert got == tuple(d[i, i] for i in range(k))
+    assert got == divisors_by_extended_gcds(m.entries, r)

@@ -71,6 +71,30 @@ def test_library_has_no_rational_or_decimal_arithmetic():
     assert found == []
 
 
+def _float_use(node) -> bool:
+    """Whether node is a float literal, a true division, ``float`` or a
+    float function of ``math``."""
+    return (
+        isinstance(node, ast.Constant) and isinstance(node.value, float)
+        or isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
+        or isinstance(node, ast.Name) and node.id == "float"
+        or isinstance(node, ast.Attribute) and node.attr in ("log", "log2", "log10", "sqrt")
+        or isinstance(node, ast.alias) and node.name in ("log", "log2", "log10", "sqrt")
+    )
+
+
+def test_library_has_no_floating_point():
+    # Every answer is exact: sizes and prime powers are tested on integers
+    # (math.isqrt, bit_length, pow), never through a float that can round.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SOURCE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if _float_use(node)
+    ]
+    assert found == []
+
+
 def test_unchecked_rows_are_wrapped_only_inside_linalg():
     # ``linalg._unchecked`` skips the entry checks, so every row it wraps
     # must be built from checked matrices within that module.

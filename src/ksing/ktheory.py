@@ -24,6 +24,7 @@ import operator
 from typing import NamedTuple, Optional
 
 from .cartan import cartan_matrix, path_counts_gf
+from . import linalg
 from .errors import InputError
 from .linalg import (
     IntMatrix,
@@ -280,9 +281,10 @@ def pipeline_divisors(n: int, d: int) -> tuple[int, ...]:
 
     Prime by prime.  With m = d - 1, trial division by p <= m, while p * p
     is at most the rest, splits n into the q = l**v || n with l <= m and a
-    rest N with no prime up to m.  Each q takes a block with |det| a power
-    of l: that of (g) where q <= m, else G(q, d) of (f).  N (a prime n,
-    say) takes G(N, d); see (h).
+    rest N with no prime up to m.  A q with v = 1 takes the closed form of
+    (i); one with v >= 2 a block eliminated modulo l**E, see (j): that of
+    (g) where q <= m, else G(q, d) of (f).  N (a prime n, say) takes
+    G(N, d); see (h).
 
     (f) g_n(y) = prod Phi_e(1 - y) over the divisors e > 1 of n, and in
         Z_l[y]/(y**m) an element is a unit exactly when its constant term
@@ -301,6 +303,19 @@ def pipeline_divisors(n: int, d: int) -> tuple[int, ...]:
     (h) For a prime l | N and 0 < j <= m < l, j C(N, j) = N C(N-1, j-1), so
         G(N, d) is N times a unipotent matrix: its divisors are m copies of
         N, its content, which smith_normal_form reads off.
+    (i) g_q = prod_(i<=v) Phi_(l**i)(1 - y), and Z_l[y]/(Phi_(l**i)(1 - y))
+        is Z_l[zeta] for zeta of order l**i, a discrete valuation ring with
+        uniformizer y = 1 - zeta, in which l is a unit times
+        y**phi(l**i) (Neukirch, Algebraic Number Theory, I.10; Washington,
+        Cyclotomic Fields, ch. 1).  At v = 1 the l-part is thus O/y**m O
+        for O = Z_l[zeta_l], free on 1, ..., y**(l-2); with
+        m = a (l - 1) + r, y**m is a unit times l**a y**r, so the l - 1
+        divisors are l - 1 - r copies of l**a, then r of l**(a+1).
+    (j) By (i), l**ceil(m / phi(l**i)) lies in (y**m, Phi_(l**i)(1 - y)),
+        and the product over i <= v of these ideals lies in (y**m, g_q).
+        So l**E, E = sum_(i<=v) ceil(m / phi(l**i)), kills coker G(q, d):
+        it is a multiple of the last divisor, the modulus _divisors_mod
+        needs, and no determinant is taken.
 
     >>> pipeline_divisors(5, 3)
     (1, 1, 5, 5)
@@ -312,29 +327,40 @@ def pipeline_divisors(n: int, d: int) -> tuple[int, ...]:
     m = d - 1
     parts, rest, p = [], n, 2
     while p <= m and p * p <= rest:
-        q = 1
+        v = 0
         while rest % p == 0:
             rest //= p
-            q *= p
-        if q > 1:
-            parts.append(q)
+            v += 1
+        if v:
+            parts.append((p, v))
         p += 1
     if rest > 1:
         # No prime below p divides rest: a prime if at most m, else an N (h).
-        parts.append(rest)
+        parts.append((rest, 1))
     chain = None
-    for q in parts:
-        if q <= m:
-            block = smith_normal_form(_companion_block(q, m))
-        else:  # D G(q, d) D, see the statement
-            g = [math.comb(q, i) for i in range(1, d)]
-            block = smith_normal_form(IntMatrix.lower_toeplitz(g))
+    for l, v in parts:
+        q = l**v
+        if l > m:  # q is N, see (h)
+            block = smith_normal_form(
+                IntMatrix.lower_toeplitz([math.comb(q, i) for i in range(1, d)])
+            )
+        elif v == 1:  # (i)
+            a, r = divmod(m, l - 1)
+            block = (l**a,) * (l - 1 - r) + (l ** (a + 1),) * r
+        else:  # (j), on (g) or on D G(q, d) D, see the statement
+            if q <= m:
+                rows = _companion_block(q, m)
+            else:
+                g = [math.comb(q, i) for i in range(1, d)]
+                rows = IntMatrix.lower_toeplitz(g).entries
+            e = sum(-(-m // ((l - 1) * l**i)) for i in range(v))
+            block = linalg._divisors_mod(rows, l**e)
         block = (1,) * (m - len(block)) + block
         chain = block if chain is None else tuple(map(operator.mul, chain, block))
     return (1,) * (n - d) + chain
 
 
-def _companion_block(q: int, m: int) -> IntMatrix:
+def _companion_block(q: int, m: int) -> tuple[tuple[int, ...], ...]:
     """Row i holds the coefficients of y**(m + i) mod g_q, for i < q - 1.
 
     g_q has leading coefficient (-1)**(q-1) at y**(q-1), so y**(q-1) is
@@ -349,8 +375,8 @@ def _companion_block(q: int, m: int) -> IntMatrix:
         if t:
             r = [x + t * c for x, c in zip(r, top)]
         if k >= m:
-            rows.append(r)
-    return IntMatrix(rows)
+            rows.append(tuple(r))
+    return tuple(rows)
 
 
 def pipeline_determinant(n: int, d: int) -> int:

@@ -28,11 +28,14 @@ shortest rows, then the content c of the k x k block left is divided out
 (exact, as SNF(c * A) = c * SNF(A)), then elimination over Z/r for r =
 |det| / c**k, so intermediates stay near the size of r: unit pivots, and
 a combination step where no entry is a unit (Z/r has stable rank 1;
-Storjohann 2000).  smith_certificate returns U, D, V from an elimination
-over Z, one clearing round per pivot, whose entries are not bounded.  On
-the unit-weight family it takes 13 ms at n = 19 and 114 ms at n = 24, on a
-2-vCPU Xeon with Python 3.11, against 0.7 ms and 5.6 ms for the divisors;
-``ksing snf`` runs it alone and prints the diagonal of D.
+Storjohann 2000).  That elimination, _divisors_mod, takes any positive
+multiple r of the last divisor; ktheory.pipeline_divisors passes it a
+proven power of a prime, far below |det|.  smith_certificate returns U, D,
+V from an elimination over Z, one clearing round per pivot, whose entries
+are not bounded.  On the unit-weight family it takes 13 ms at n = 19 and
+114 ms at n = 24, on a 2-vCPU Xeon with Python 3.11, against 0.7 ms and
+5.6 ms for the divisors; ``ksing snf`` runs it alone and prints the
+diagonal of D.
 """
 
 from __future__ import annotations
@@ -368,8 +371,7 @@ def _unit_pivot_block(m: IntMatrix) -> tuple[tuple[int, ...], ...]:
     pivot a unit, the block left is a Schur complement whose entries are
     minors of m, so they stay within the Hadamard bound.  An m without a
     +-1 entry is the block; so is every matrix ktheory.pipeline_divisors
-    passes: G(q, d) for q > d - 1, whose entries are C(q, j) with 0 < j < q,
-    and the companion blocks of g_q, whose entries are all divisible by l.
+    passes: G(N, d), whose entries are multiples of N.
     """
     # A recorded first column holds every nonzero entry of the matrix.
     lines = m.entries if m.first_column is None else (m.first_column,)
@@ -401,7 +403,10 @@ def _unit_pivot_block(m: IntMatrix) -> tuple[tuple[int, ...], ...]:
 
 
 def _divisors_mod(a: tuple[tuple[int, ...], ...], r: int) -> tuple[int, ...]:
-    """Smith divisors of a square a with r = |det a|, by elimination over Z/r.
+    """Smith divisors of a square nonsingular a, by elimination over Z/r.
+
+    r is any positive multiple of the last divisor, such as |det a|: then
+    coker a is a Z/r-module, and the divisors over Z/r are those over Z.
 
     An entry x prime to r is a unit, a divisor 1: the other rows minus
     multiples of x's row clear its column, and then clearing its row by
@@ -409,20 +414,22 @@ def _divisors_mod(a: tuple[tuple[int, ...], ...], r: int) -> tuple[int, ...]:
     with s = l where r = l**e for the least prime l <= k + 1 dividing r
     (then x is a unit exactly when l does not divide it), else s = r.
     With no unit left, g = gcd(r, entries) divides every divisor to come;
-    it is divided out of the block, and g**k out of r.  With no unit and
+    it is divided out of the block and out of r, and r / g is a multiple
+    of the last divisor of a / g.  With no unit and
     g = 1, Z/r has stable rank 1 (Storjohann 2000, stab): later rows, each
     times the largest divisor of r prime to the first row's content, are
     added to the first row until that content is prime to r, and then
     columns to column 0 in the same way until the corner is a unit.  A row
     is reduced modulo r when it becomes the pivot row, not at each update,
     so each update is one product and a sum, adding less than r**2 to an
-    entry.  Divisors come out smallest first.
+    entry.  The loop ends when r is 1 or the block is empty.  Divisors come
+    out smallest first.
     """
     out, c = [], 1
     b = [list(row) for row in a]
     l = next((p for p in range(2, len(b) + 2) if r % p == 0), 1)
     s = l if pow(l, r.bit_length(), r) == 0 else r
-    while r > 1:
+    while r > 1 and b:
         for i, p in enumerate(b):
             j = next((j for j, x in enumerate(p) if x % s and math.gcd(x, s) == 1), None)
             if j is not None:
@@ -430,7 +437,7 @@ def _divisors_mod(a: tuple[tuple[int, ...], ...], r: int) -> tuple[int, ...]:
         else:
             g = math.gcd(r, *[x for row in b for x in row])
             if g > 1:
-                r //= g ** len(b)
+                r //= g
                 c *= g
                 s = math.gcd(s, r)
                 b = [[x // g % r for x in row] for row in b]

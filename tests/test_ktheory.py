@@ -1,4 +1,5 @@
 import doctest
+import functools
 import itertools
 import json
 import pickle
@@ -589,12 +590,13 @@ def _prime_power_parts(n):
     return parts
 
 
+@functools.lru_cache(maxsize=None)
 def _divisors_of_g_by_extended_gcds(n, d):
     """Smith divisors of the signed G(n, d), whole, by extended gcds alone.
 
-    G has no +-1 entry (0 < i + 1 < n), so the content step and the
-    extended-gcd elimination modulo n**(d-1) / c**(d-1) give its divisors
-    without smith_normal_form or any code of the library.
+    The content step and the extended-gcd elimination modulo
+    n**(d-1) / c**(d-1) give its divisors without smith_normal_form or any
+    code of the library.
     """
     g = [(-1) ** i * comb(n, i + 1) for i in range(d - 1)]
     c = gcd(*g)
@@ -607,7 +609,7 @@ def _divisors_of_g_by_extended_gcds(n, d):
 
 
 def test_prime_by_prime_route_matches_the_smith_form_of_g():
-    # pipeline_divisors, one block per prime power (proof (f)-(h)), against
+    # pipeline_divisors, one part per prime power (proof (f)-(j)), against
     # the extended-gcd elimination of all of G, which it never runs.
     checked = 0
     for n in range(2, 41):
@@ -618,10 +620,16 @@ def test_prime_by_prime_route_matches_the_smith_form_of_g():
     assert checked == 780
 
 
+def _proven_exponent(l, v, m):
+    """E = sum over i <= v of ceil(m / phi(l**i)), proof step (j)."""
+    return sum(-(-m // (l**i - l ** (i - 1))) for i in range(1, v + 1))
+
+
 def test_pipeline_divisors_eliminate_only_modulo_prime_powers(monkeypatch):
-    # Every block pipeline_divisors passes has |det| a power of one prime
-    # (or content N, proof (h)), so _divisors_mod pivots on entries prime
-    # to that prime and never takes its combination step.
+    # Only the parts q = l**v with v >= 2 and l <= d - 1 are eliminated, each
+    # once, modulo l**E (proof (j)); v = 1 takes the closed form (i) and the
+    # rest N its content (h).  So _divisors_mod pivots on entries prime to l
+    # and never takes its combination step.
     divisors_mod = ksing.linalg._divisors_mod
     moduli = []
 
@@ -631,11 +639,53 @@ def test_pipeline_divisors_eliminate_only_modulo_prime_powers(monkeypatch):
 
     monkeypatch.setattr(ksing.linalg, "_divisors_mod", recording)
     pairs = [(n, d) for n in range(2, 61) for d in range(2, n + 1)]
+    want = []
     for n, d in pairs + [(202, 100), (58, 29), (240, 240)]:
         divisors = pipeline_divisors(n, d)
         assert prod(divisors) == n ** (d - 1), (n, d)
-    assert len(moduli) > 1000
-    assert [r for r in moduli if len(_prime_power_parts(r)) != 1] == []
+        want += [
+            l ** _proven_exponent(l, v, d - 1)
+            for l, v in _prime_power_parts(n).items()
+            if v >= 2 and l < d
+        ]
+    assert moduli == want
+    assert len(moduli) == 729
+
+
+PRIME_POWERS_TO_64 = (4, 8, 16, 32, 64, 9, 27, 25, 49)
+
+
+def test_l_part_at_v_at_least_2_matches_the_smith_form_of_g():
+    # The l**E route (proof (j)) against the extended-gcd elimination of all
+    # of G(q, d), and the last divisor against the proven bound l**E.
+    checked = 0
+    for q in PRIME_POWERS_TO_64:
+        (l, v), = _prime_power_parts(q).items()
+        for d in range(2, q + 1):
+            divisors = pipeline_divisors(q, d)
+            assert divisors == (1,) * (q - d) + _divisors_of_g_by_extended_gcds(q, d), (q, d)
+            assert l ** _proven_exponent(l, v, d - 1) % divisors[-1] == 0, (q, d)
+            checked += 1
+    assert checked == 225
+
+
+def test_pipeline_divisors_take_no_bareiss_determinant(monkeypatch):
+    # |det| of every block is known (proof (f)), so the only determinant
+    # taken is the product of the diagonal of G(N, d), which records its
+    # first column.
+    determinant = ksing.linalg.determinant
+    calls = []
+
+    def recorded_only(m):
+        assert m.first_column is not None, "Bareiss determinant taken"
+        calls.append(m.rows)
+        return determinant(m)
+
+    monkeypatch.setattr(ksing.linalg, "determinant", recorded_only)
+    for n in range(2, 61):
+        for d in range(2, n + 1):
+            pipeline_divisors(n, d)
+    assert calls
 
 
 def _l_part(x, l):
@@ -647,14 +697,22 @@ def _l_part(x, l):
 
 
 def _closed_form_l_part(n, d, l):
-    """ROADMAP item 3's closed form, an oracle only: for v_l(n) = 1 the
-    l-part is Z_l[zeta_l]/(pi**(d-1)), i.e. (Z/l**(q+1))**r + (Z/l**q)**(l-1-r)
+    """The closed form of proof step (i), written out: for v_l(n) = 1 the l-part is
+    Z_l[zeta_l]/(pi**(d-1)), i.e. (Z/l**(q+1))**r + (Z/l**q)**(l-1-r)
     with d - 1 = q (l - 1) + r, after n - l trivial divisors."""
     q, r = divmod(d - 1, l - 1)
     return [1] * (n - l) + [l**q] * (l - 1 - r) + [l ** (q + 1)] * r
 
 
+def _l_part_by_extended_gcds(n, d, l):
+    """The l-part of pipeline_divisors(n, d) for l || n, by proof step (f):
+    n - d ones, then the divisors of G(l, d), eliminated by extended gcds."""
+    return [1] * (n - d) + list(_divisors_of_g_by_extended_gcds(l, d))
+
+
 def test_l_part_at_v_1_is_the_closed_form():
+    # The pipeline's l-part, which the closed form gives, against the
+    # elimination of G(l, d); and that elimination against the closed form.
     checked = 0
     for n in range(2, 200):
         parts = _prime_power_parts(n)
@@ -664,8 +722,9 @@ def test_l_part_at_v_1_is_the_closed_form():
         for d in range(2, min(n, 40) + 1):
             divisors = pipeline_divisors(n, d)
             for l in primes:
-                want = _closed_form_l_part(n, d, l)
+                want = _l_part_by_extended_gcds(n, d, l)
                 assert [_l_part(x, l) for x in divisors] == want, (n, d, l)
+                assert want == _closed_form_l_part(n, d, l), (n, d, l)
                 checked += 1
     assert checked == 6366
 
@@ -678,7 +737,9 @@ def test_l_part_at_v_1_is_the_closed_form_on_random_draws(data):
     n = l * data.draw(st.integers(1, 3000 // l).filter(lambda m: m % l))
     d = data.draw(st.integers(2, min(n, 40)))
     divisors = pipeline_divisors(n, d)
-    assert [_l_part(x, l) for x in divisors] == _closed_form_l_part(n, d, l)
+    want = _l_part_by_extended_gcds(n, d, l)
+    assert [_l_part(x, l) for x in divisors] == want
+    assert want == _closed_form_l_part(n, d, l)
 
 
 def _check_reach(n, d):
@@ -690,11 +751,12 @@ def _check_reach(n, d):
         assert sum(1 for x in divisors if x % l == 0) == min(l**v - 1, d - 1), l
 
 
-@pytest.mark.parametrize("n", [120, 210, 240])
+@pytest.mark.parametrize("n", [81, 120, 128, 210, 240])
 def test_pipeline_divisors_reach_n_equals_d_in_the_hundreds(n):
-    # Eliminating all of G(n, n) took 0.5 s to 10 s at these n on a 2-vCPU
-    # Xeon; one small block per prime power takes 2 to 15 ms.  These checks
-    # hold whichever route produced the divisors.
+    # Eliminating all of G(n, n) took 0.5 s to 10 s at 120, 210 and 240 on a
+    # 2-vCPU Xeon; one small block per prime power takes 2 to 15 ms.  At 81
+    # and 128, G(n, n) itself modulo 3**E or 2**E took 20 ms and 0.16 s.
+    # These checks hold whichever route produced the divisors.
     _check_reach(n, n)
 
 

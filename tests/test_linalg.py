@@ -221,24 +221,39 @@ class TestTrustBoundary:
     """Entries are checked where they come in, and only there."""
 
     def test_pipeline_entries_are_ints(self, monkeypatch):
-        gs = []
-        snf = ksing.ktheory.smith_normal_form
+        # Also the blocks pipeline_divisors builds: G(N, d) for
+        # smith_normal_form, and the rows it hands _divisors_mod.
+        gs, blocks = [], []
+        snf, divisors_mod = ksing.ktheory.smith_normal_form, ksing.linalg._divisors_mod
 
         def recording_snf(m):
             gs.append(m)
             return snf(m)
 
+        def recording_divisors_mod(a, r):
+            blocks.append(a)
+            return divisors_mod(a, r)
+
         monkeypatch.setattr(ksing.ktheory, "smith_normal_form", recording_snf)
+        monkeypatch.setattr(ksing.linalg, "_divisors_mod", recording_divisors_mod)
         sets = all_valid_params(12) + [validate_params(*s) for s in FAMILY_AND_WIDE_SETS]
+        recorded = [0, 0]
         for params in sets:
             c = cartan_matrix(path_counts_gf(params))
             pipeline_divisors(params.n, params.d)
-            assert gs
             for m in (c, unipotent_inverse(c), theorem_matrix(c, params.d), *gs):
                 assert type(m.entries) is tuple
                 assert all(type(row) is tuple for row in m.entries)
                 assert all(type(x) is int for row in m.entries for x in row)
+            for a in blocks:
+                assert type(a) is tuple
+                assert all(type(row) is tuple for row in a)
+                assert all(type(x) is int for row in a for x in row)
+            recorded[0] += len(gs)
+            recorded[1] += len(blocks)
             gs.clear()
+            blocks.clear()
+        assert recorded == [1164, 160]
 
     def test_rebuilt_toeplitz_is_refused(self):
         # The same rows without the recorded column: no second route.
@@ -643,3 +658,40 @@ def test_modular_divisors_match_the_certificate_and_extended_gcds(
     d = smith_certificate(m)[1]
     assert got == tuple(d[i, i] for i in range(k))
     assert got == divisors_by_extended_gcds(m.entries, r)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    l=st.sampled_from((2, 3, 5, 7)),
+    exponents=st.lists(st.integers(0, 12), min_size=1, max_size=8),
+    cofactors=st.one_of(
+        st.just([1] * 8),
+        st.lists(st.sampled_from((1, 2, 3, 5, 6, 10, 15, 143)), min_size=8, max_size=8),
+    ),
+    t=st.integers(0, 6),
+    scramble=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(l=2, exponents=[0], cofactors=[1] * 8, t=2, scramble=False, seed=0)
+@example(l=3, exponents=[0, 0, 0, 0], cofactors=[1] * 8, t=1, scramble=True, seed=4)
+@example(l=2, exponents=[3, 1, 5], cofactors=[1] * 8, t=0, scramble=True, seed=5)
+@example(l=2, exponents=[1, 1, 0], cofactors=[3, 5, 15], t=3, scramble=False, seed=0)
+def test_modular_divisors_take_any_multiple_of_the_last_divisor(
+    l, exponents, cofactors, t, scramble, seed
+):
+    # r = (last divisor) * l**t, far below |det| for most draws, as
+    # ktheory.pipeline_divisors passes its proven l**E.  The first two
+    # examples are unimodular with r = 4 and 3: the block empties while
+    # r > 1, as ((1,),) with r = 4 does.  The last needs the combination
+    # step with r = 15 * 8.
+    rng = random.Random(seed)
+    k = len(exponents)
+    diagonal = [l**e * c for e, c in zip(exponents, cofactors)]
+    m = IntMatrix([[x if i == j else 0 for j in range(k)] for i, x in enumerate(diagonal)])
+    if scramble:
+        m = random_unimodular(rng, k) @ m @ random_unimodular(rng, k)
+    d = smith_certificate(m)[1]
+    want = tuple(d[i, i] for i in range(k))
+    got = ksing.linalg._divisors_mod(m.entries, want[-1] * l**t)
+    assert got == want
+    assert got == divisors_by_extended_gcds(m.entries, abs(determinant(m)))

@@ -697,9 +697,10 @@ def _l_part(x, l):
 
 
 def _closed_form_l_part(n, d, l):
-    """The closed form of proof step (i), written out: for v_l(n) = 1 the l-part is
-    Z_l[zeta_l]/(pi**(d-1)), i.e. (Z/l**(q+1))**r + (Z/l**q)**(l-1-r)
-    with d - 1 = q (l - 1) + r, after n - l trivial divisors."""
+    """The closed form of proof step (i), written out: for v_l(n) = 1 the
+    l-part is Z_l[zeta_l]/(pi**(d-1)), i.e. (Z/l**(q+1))**r +
+    (Z/l**q)**(l-1-r) with d - 1 = q (l - 1) + r, after n - l trivial
+    divisors."""
     q, r = divmod(d - 1, l - 1)
     return [1] * (n - l) + [l**q] * (l - 1 - r) + [l ** (q + 1)] * r
 

@@ -180,12 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
     snf = commands.add_parser("snf", help="Smith normal form certificate of M")
     _add_params_flags(snf)
     _add_source_flag(snf)
-    snf.add_argument(
-        "--fixture",
-        default=None,
-        choices=("paper-low-dim",),
-        help="use the published reference matrix instead of parameters",
-    )
     snf.add_argument("--format", default="pretty", choices=("pretty", "json"))
 
     verify = commands.add_parser(
@@ -212,7 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_source_flag(sweep)
     sweep.add_argument("--format", default="csv", choices=("csv", "json"))
     sweep.add_argument("--max-cells", type=int, default=20_000)
-    sweep.add_argument("--jobs", type=int, default=1, help="parallel workers")
     return parser
 
 
@@ -304,16 +297,8 @@ def _cmd_matrix(args) -> int:
 
 
 def _cmd_snf(args) -> int:
-    source = _SOURCE_BY_ALIAS[args.source]
-    if args.fixture == "paper-low-dim":
-        if (args.n, args.d, args.weights) != (None,) * 3 or source != "theorem-pipeline":
-            raise InputError("--fixture takes no --n, --d, --weights or --source")
-        m = ktheory.LOW_DIM_PRINTED_MATRIX
-        label = "paper-low-dim fixture"
-    else:
-        params = _params_from_args(args)
-        m = ktheory.matrix_from_source(params, source)
-        label = f"M for n={params.n}, d={params.d}, weights={params.weights}"
+    params = _params_from_args(args)
+    m = ktheory.matrix_from_source(params, _SOURCE_BY_ALIAS[args.source])
     u, d, v = smith_certificate(m)
     divisors = [d[i, i] for i in range(d.rows)]  # M is square
     if args.format == "json":
@@ -328,7 +313,7 @@ def _cmd_snf(args) -> int:
             }
         )
         return 0
-    print(f"Smith normal form of {label}")
+    print(f"Smith normal form of M for n={params.n}, d={params.d}, weights={params.weights}")
     for name, mat in (("U", u), ("D", d), ("V", v)):
         print(f"{name}:")
         _print_matrix(mat)
@@ -377,33 +362,37 @@ _SWEEP_COLUMNS = (
 )
 
 
-def _sweep_set(task) -> list[dict]:
-    """The rows of one parameter set, one per coefficient.
+def _sweep_rows(
+    sets: list[QuotientParams], coeffs: list[PrimePower], source: str
+) -> Iterator[tuple]:
+    """The sweep's rows in _SWEEP_COLUMNS order, one per (set, coefficient),
+    each yielded as soon as its report is computed.
 
     M does not depend on the coefficient, so its determinant is taken once
     per set (see _det_m); the groups are computed per coefficient.
     """
-    params, coeffs, source = task
-    reports = [ktheory.compute_ktheory(params, coeff, source) for coeff in coeffs]
-    det = _det_m(params, source, reports[0].matrix)
-    return [
-        {
-            "n": params.n,
-            "d": params.d,
-            "weights": ",".join(map(str, params.weights)),
-            "l": report.coefficient.l,
-            "nu": report.coefficient.nu,
-            "q": report.coefficient.q,
-            "source": source,
-            "det": det,
-            "divisors": ",".join(map(str, report.divisors)),
-            "even_group": str(report.even_group),
-            "odd_group": str(report.odd_group),
-            "vanishing": report.even_group.is_trivial and report.odd_group.is_trivial,
-            "corollary": report.corollary_notes[0].conclusion,
-        }
-        for report in reports
-    ]
+    for params in sets:
+        weights = ",".join(map(str, params.weights))
+        det = None
+        for coeff in coeffs:
+            report = ktheory.compute_ktheory(params, coeff, source)
+            if det is None:
+                det = _det_m(params, source, report.matrix)
+            yield (
+                params.n,
+                params.d,
+                weights,
+                coeff.l,
+                coeff.nu,
+                coeff.q,
+                source,
+                det,
+                ",".join(map(str, report.divisors)),
+                str(report.even_group),
+                str(report.odd_group),
+                report.even_group.is_trivial and report.odd_group.is_trivial,
+                report.corollary_notes[0].conclusion,
+            )
 
 
 def _sweep_params(args) -> Iterator[QuotientParams]:
@@ -433,14 +422,13 @@ def _sweep_params(args) -> Iterator[QuotientParams]:
 
 def _check_sweep_flags(args) -> None:
     """Refuse a --d that the weights mode would drop or that holds a d below
-    2, and a count flag below 1, even where no cell would read them."""
+    2, and a --max-cells below 1, even where no cell would read them."""
     if args.d is not None and args.weights_mode == "ones":
         raise InputError("--d applies only to --weights-mode all; 'ones' takes d = n")
     if args.exponent < 1:
         raise NonPositiveExponent(f"exponent nu must be >= 1, got {args.exponent}")
-    for flag, value in (("--max-cells", args.max_cells), ("--jobs", args.jobs)):
-        if value < 1:
-            raise InputError(f"{flag} must be at least 1, got {value}")
+    if args.max_cells < 1:
+        raise InputError(f"--max-cells must be at least 1, got {args.max_cells}")
     d_ranges = _parse_int_list(args.d or "")
     if d_ranges and d_ranges[0].start < 2:
         raise DimensionTooSmall(f"dimension d must be at least 2, got {d_ranges[0].start}")
@@ -450,37 +438,27 @@ def _cmd_sweep(args) -> int:
     _check_sweep_flags(args)
     primes = chain.from_iterable(_parse_int_list(args.primes))
     coeffs = [validate_prime_power(l, args.exponent) for l in primes]
-    source = _SOURCE_BY_ALIAS[args.source]
-    tasks = []
+    sets = []
     for params in _sweep_params(args):
         if not coeffs:
             break  # no cells; the first set was drawn to refuse an invalid --n
-        tasks.append((params, coeffs, source))
-        # Checked per set, so an oversized grid is refused before it is built.
-        if len(tasks) * len(coeffs) > args.max_cells:
+        sets.append(params)
+        # Checked per set, so an oversized grid is refused before it is built
+        # and before any row is written.
+        if len(sets) * len(coeffs) > args.max_cells:
             raise RangeTooLarge(
                 f"sweep grid has more than {args.max_cells} cells;"
                 f" raise --max-cells to proceed"
             )
-    # A pool starts all its workers at once: start no more than can be used.
-    jobs = min(args.jobs, len(tasks), os.cpu_count() or 1)
-    if jobs > 1:
-        from multiprocessing import Pool  # here, so serial runs never import it
-
-        with Pool(jobs) as pool:
-            groups = pool.map(_sweep_set, tasks)
-    else:
-        groups = [_sweep_set(task) for task in tasks]
-    rows = [row for group in groups for row in group]
+    rows = _sweep_rows(sets, coeffs, _SOURCE_BY_ALIAS[args.source])
     if args.format == "json":
+        rows = [dict(zip(_SWEEP_COLUMNS, row)) for row in rows]
         _emit_json({"schema_version": 1, "rows": rows})
         return 0
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(_SWEEP_COLUMNS)
-    writer.writerows(
-        [str(row[c]).lower() if c == "vanishing" else row[c] for c in _SWEEP_COLUMNS]
-        for row in rows
-    )
+    # The vanishing column, second to last, is spelled as in JSON.
+    writer.writerows((*r[:-2], "true" if r[-2] else "false", r[-1]) for r in rows)
     return 0
 
 

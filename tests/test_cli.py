@@ -1,7 +1,6 @@
 import csv
 import io
 import json
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -18,6 +17,10 @@ from ksing import KTheoryReport, SourceUnavailable, matrix_from_source, quiver_f
 from ksing.cli import main
 
 from conftest import all_valid_params
+
+
+# The published fixture matrix, named by its parameters and source.
+FIXTURE_ARGS = ("--source", "fixture", "--n", "5", "--d", "3", "--weights", "1,2,2")
 
 
 def run_cli(capsys, *argv):
@@ -194,7 +197,7 @@ def test_matrix_command(capsys):
 
 
 def test_snf_fixture_divisor_product_is_26(capsys):
-    code, out, _ = run_cli(capsys, "snf", "--fixture", "paper-low-dim", "--format", "json")
+    code, out, _ = run_cli(capsys, "snf", *FIXTURE_ARGS, "--format", "json")
     assert code == 0
     payload = json.loads(out)
     divisors = payload["divisors"]
@@ -202,23 +205,6 @@ def test_snf_fixture_divisor_product_is_26(capsys):
     for x in divisors:
         prod *= x
     assert prod == 26
-
-
-@pytest.mark.parametrize(
-    "flags",
-    [
-        ("--n", "5"),
-        ("--d", "3"),
-        ("--weights", "1,2,2"),
-        ("--source", "family"),
-        ("--source", "family", "--n", "9", "--d", "2", "--weights", "1,8"),
-    ],
-)
-def test_snf_refuses_params_and_source_with_the_fixture(capsys, flags):
-    code, out, err = run_cli(capsys, "snf", "--fixture", "paper-low-dim", *flags)
-    assert code == 2
-    assert out == ""
-    assert "InputError" in err
 
 
 def test_snf_from_params(capsys):
@@ -229,17 +215,10 @@ def test_snf_from_params(capsys):
     assert "divisors: 3, 3" in out
 
 
-@pytest.mark.parametrize("source", ["pipeline", "theorem-pipeline"])
-def test_snf_fixture_takes_the_default_source_under_either_name(capsys, source):
-    plain = run_cli(capsys, "snf", "--fixture", "paper-low-dim")
-    assert plain[0] == 0
-    assert run_cli(capsys, "snf", "--fixture", "paper-low-dim", "--source", source) == plain
-
-
 @pytest.mark.parametrize(
     "argv, divisors",
     [
-        (("--fixture", "paper-low-dim"), "1, 1, 1, 26"),
+        (FIXTURE_ARGS, "1, 1, 1, 26"),
         (
             ("--n", "12", "--d", "12", "--weights", ",".join(["1"] * 12)),
             "1, 1, 1, 1, 1, 1, 1, 1, 32, 7776, 2985984",
@@ -261,7 +240,7 @@ def test_snf_runs_one_elimination(capsys, monkeypatch, argv, divisors):
 @pytest.mark.parametrize(
     "argv, recorded",
     [
-        (("--fixture", "paper-low-dim"), "snf_paper_low_dim.json"),
+        (FIXTURE_ARGS, "snf_paper_low_dim.json"),
         (("--n", "5", "--d", "3", "--weights", "1,2,2"), "snf_5_3_1_2_2.json"),
     ],
 )
@@ -345,6 +324,57 @@ def test_closed_stdout_exits_1_without_a_message():
     assert proc.stderr == ""
 
 
+def test_closed_stdout_stops_the_sweep_early():
+    # Rows are written as they are computed, so the first write that fails
+    # ends the sweep; block-buffered, as a pipe is by default, that is after
+    # about one buffer of rows.
+    code = (
+        "import sys, ksing.cli, ksing.ktheory as k\n"
+        "calls = []\n"
+        "compute = k.compute_ktheory\n"
+        "k.compute_ktheory = lambda *a: calls.append(a) or compute(*a)\n"
+        "code = ksing.cli.main(sys.argv[1:])\n"
+        "print(len(calls), file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    argv = ["sweep", "--weights-mode", "all", "--n", "2-12", "--primes", "2"]
+    cells = len(list(ksing.cli._sweep_params(ksing.cli.build_parser().parse_args(argv))))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(ksing.cli.__file__).parents[1])
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *argv],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert cells == 1318
+    assert int(proc.stderr) < cells // 4
+
+
+def test_sweep_writes_each_row_before_computing_the_next(monkeypatch):
+    out = io.StringIO()
+    seen = []  # (params, stdout so far) at each compute_ktheory call
+    compute = ksing.ktheory.compute_ktheory
+
+    def recording(params, *args):
+        seen.append((params, out.getvalue()))
+        return compute(params, *args)
+
+    monkeypatch.setattr(ksing.ktheory, "compute_ktheory", recording)
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["sweep", "--n", "3-6", "--primes", "2,3"]) == 0
+    lines = out.getvalue().splitlines()
+    assert len(lines) == 1 + len(seen) == 1 + 4 * 2
+    # Before each cell, stdout holds the header and every earlier cell's row,
+    # so the first set's rows are out before the last set is computed.
+    assert [text.splitlines() for _, text in seen] == [lines[:i] for i in range(1, 9)]
+    assert [params.n for params, _ in seen] == [3, 3, 4, 4, 5, 5, 6, 6]
+
+
 def test_sweep_family_rows(capsys):
     code, out, _ = run_cli(
         capsys, "sweep", "--n", "3,5,7", "--weights-mode", "ones",
@@ -389,14 +419,13 @@ def test_sweep_empty_prime_list(capsys):
     assert out.strip().splitlines() == ["n,d,weights,l,nu,q,source,det,divisors,even_group,odd_group,vanishing,corollary"]
 
 
-def test_sweep_deterministic_and_parallel_identical(capsys):
+def test_sweep_is_deterministic(capsys):
     args = (
         "sweep", "--n", "2-6", "--weights-mode", "all", "--primes", "2,3",
     )
     _, first, _ = run_cli(capsys, *args)
     _, second, _ = run_cli(capsys, *args)
-    _, parallel, _ = run_cli(capsys, *args, "--jobs", "2")
-    assert first == second == parallel
+    assert first == second
 
 
 def test_sweep_takes_one_determinant_per_parameter_set(capsys, monkeypatch):
@@ -487,8 +516,9 @@ def test_sweep_range_too_large(capsys):
     "flags, error",
     [
         (("--primes", "2", "--max-cells", "-5"), "InputError: --max-cells must be at least 1"),
-        (("--primes", "2", "--jobs", "-3"), "InputError: --jobs must be at least 1"),
-        (("--primes", "2", "--jobs", "0"), "InputError: --jobs must be at least 1"),
+        (("--primes", "2", "--max-cells", "0"), "InputError: --max-cells must be at least 1"),
+        # Refused even where there are no cells to count.
+        (("--primes", "", "--max-cells", "0"), "InputError: --max-cells must be at least 1"),
         # No prime reads the exponent, and it is still refused.
         (("--primes", "", "--exponent", "0"), "NonPositiveExponent"),
         # Nor a dimension below 2, which would draw no weights at all.
@@ -583,11 +613,10 @@ def test_sweep_draws_weights_only_for_pairs_a_source_can_cover(
     assert sorted(drawn) == sorted([(1,) * n for n in range(2, 23)] + fixture_pair)
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
-def test_sweep_rows_come_out_in_grid_order(capsys, jobs):
+def test_sweep_rows_come_out_in_grid_order(capsys):
     code, out, _ = run_cli(
         capsys, "sweep", "--weights-mode", "all", "--n", "8,5-7", "--d", "5,3",
-        "--primes", "3,2", "--jobs", jobs,
+        "--primes", "3,2",
     )
     assert code == 0
     keys = [
@@ -598,37 +627,23 @@ def test_sweep_rows_come_out_in_grid_order(capsys, jobs):
     assert keys == sorted(keys)
 
 
-def test_sweep_starts_no_more_workers_than_sets_or_cpus(capsys, monkeypatch):
-    asked = []
-
-    class FakePool:
-        def __init__(self, processes):
-            asked.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, func, tasks):
-            return [func(task) for task in tasks]
-
-    # cli imports Pool only for --jobs > 1, so patch it where it comes from.
-    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
-    args = ("sweep", "--weights-mode", "ones", "--n", "3-5", "--primes", "2,3")
-    _, serial, _ = run_cli(capsys, *args)
-    # Three sets: the pool is capped at the sets, then at the CPUs.
-    for cpus, expected in ((64, [3]), (2, [2]), (1, [])):
-        monkeypatch.setattr(ksing.cli.os, "cpu_count", lambda: cpus)
-        asked.clear()
-        assert run_cli(capsys, *args, "--jobs", "500")[:2] == (0, serial)
-        assert asked == expected
-    # One set needs no pool at all.
-    monkeypatch.setattr(ksing.cli.os, "cpu_count", lambda: 64)
-    asked.clear()
-    assert run_cli(capsys, "sweep", "--n", "4", "--primes", "2", "--jobs", "500")[0] == 0
-    assert asked == []
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sweep", "--n", "3-5", "--primes", "2", "--jobs", "2"),
+        ("snf", "--fixture", "paper-low-dim"),
+    ],
+    ids=["sweep-jobs", "snf-fixture"],
+)
+def test_removed_flags_exit_2(capsys, argv):
+    # The sweep runs in the calling process only; snf takes the fixture as
+    # --source fixture --n 5 --d 3 --weights 1,2,2.
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "unrecognized arguments" in err
 
 
 @pytest.mark.parametrize("n, primes", [("12-2", "2"), ("3-5", "7-3")])

@@ -95,6 +95,22 @@ def test_library_has_no_floating_point():
     assert found == []
 
 
+def test_library_starts_no_threads_or_processes():
+    # The sweep runs in the calling process; gains come from the
+    # arithmetic, not from workers.
+    workers = ("multiprocessing", "threading", "concurrent")
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SOURCE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Import)
+        and any(a.name.partition(".")[0] in workers for a in node.names)
+        or isinstance(node, ast.ImportFrom) and node.level == 0
+        and node.module.partition(".")[0] in workers
+    ]
+    assert found == []
+
+
 def test_unchecked_rows_are_wrapped_only_inside_linalg():
     # ``linalg._unchecked`` skips the entry checks, so every row it wraps
     # must be built from checked matrices within that module.
@@ -133,8 +149,9 @@ def _loaded_by_import(module: str, imports: str = "ksing, ksing.cli") -> str:
 
 
 def test_cli_import_leaves_multiprocessing_out():
-    # The sweep imports multiprocessing only for --jobs > 1; at import it
-    # is most of what ``import ksing.cli`` costs.
+    # No module of the library imports it (see the source test above); a
+    # dependency that did would make it most of what ``import ksing.cli``
+    # costs.
     assert _loaded_by_import("multiprocessing") == "False"
 
 

@@ -302,7 +302,7 @@ def pipeline_divisors(n: int, d: int) -> tuple[int, ...]:
         its q - 1 divisors, after m - q + 1 ones, are those of G(q, d).
     (h) For a prime l | N and 0 < j <= m < l, j C(N, j) = N C(N-1, j-1), so
         G(N, d) is N times a unipotent matrix: its divisors are m copies of
-        N, its content, which smith_normal_form reads off.
+        N, its content, which smith_normal_form reads off its first column.
     (i) g_q = prod_(i<=v) Phi_(l**i)(1 - y), and Z_l[y]/(Phi_(l**i)(1 - y))
         is Z_l[zeta] for zeta of order l**i, a discrete valuation ring with
         uniformizer y = 1 - zeta, in which l is a unit times
@@ -460,8 +460,9 @@ def compute_ktheory(
 ) -> KTheoryReport:
     """Full report: matrix, divisors, even/odd groups, corollary notes.
 
-    The pipeline source takes its divisors from pipeline_divisors, the
-    other sources from the Smith form of their own matrix.
+    The pipeline source takes its divisors from pipeline_divisors, and its
+    M builds its rows only when read: ``ksing compute`` prints them, ``ksing
+    sweep`` never reads them.  The other sources take the Smith form of M.
     """
     m = matrix_from_source(params, source)
     if source == "theorem-pipeline":

@@ -11,31 +11,22 @@ Entries are checked where they come in, by ``IntMatrix(rows)`` and
 ``IntMatrix.lower_toeplitz(col)``; rows built here from checked matrices
 are wrapped by ``_unchecked`` without a second pass over their entries.
 
-The unipotent inverse and the theorem matrix C (C^-1)^T take only a C
-built by ``lower_toeplitz``, which records its first column, and refuse
-any other matrix with ValueError.  A Cartan matrix is such a C, and C^-1
-is lower Toeplitz too, with first column the coefficients of
-prod_j (1 - t^a_j): at most z <= 2^d nonzeros however large n is.  Such a
-matrix builds its rows only when they are read, so the inverse solves its
-first column only, in O(k * z), and each row of C (C^-1)^T is the row
-above shifted right plus z products: the rows of C and C^-1 are never
-built, and M costs O(k^2) list copying and O(k * z) multiplications.
+The unipotent inverse and the theorem matrix M = +-C (C^-1)^T - Id take
+only a C built by ``lower_toeplitz``, which records its first column, and
+refuse any other matrix with ValueError.  A Cartan matrix is such a C, and
+C^-1 is lower Toeplitz too, with first column the coefficients of
+prod_j (1 - t^a_j): at most z <= 2^d nonzeros however large n is.  So the
+inverse solves that column only, in O(k * z).  C, C^-1 and M build their
+rows on the first read of ``entries``: M's where ``ksing compute`` and
+``matrix`` print it, ``snf`` reduces it and ``verify-paper`` compares it,
+never in ``ksing sweep``; those of C^-1 are never read.
 
-Two eliminations give the Smith form, each through one function that
-returns a plain value.  smith_normal_form returns the divisors of a square
-nonsingular matrix with bounded entries: +-1 pivots over Z, taken from the
-shortest rows, then the content c of the k x k block left is divided out
-(exact, as SNF(c * A) = c * SNF(A)), then elimination over Z/r for r =
-|det| / c**k, so intermediates stay near the size of r: unit pivots, and
-a combination step where no entry is a unit (Z/r has stable rank 1;
-Storjohann 2000).  That elimination, _divisors_mod, takes any positive
-multiple r of the last divisor; ktheory.pipeline_divisors passes it a
-proven power of a prime, far below |det|.  smith_certificate returns U, D,
-V from an elimination over Z, one clearing round per pivot, whose entries
-are not bounded.  On the unit-weight family it takes 13 ms at n = 19 and
-114 ms at n = 24, on a 2-vCPU Xeon with Python 3.11, against 0.7 ms and
-5.6 ms for the divisors; ``ksing snf`` runs it alone and prints the
-diagonal of D.
+Two eliminations give the Smith form.  smith_normal_form returns the
+divisors of a square nonsingular matrix with bounded entries: +-1 pivots
+over Z, the content c of the block left divided out, then elimination over
+Z/r for a multiple r of the last divisor (Storjohann 2000).
+smith_certificate returns U, D, V from an elimination over Z whose entries
+are not bounded; ``ksing snf`` runs it alone and prints the diagonal of D.
 """
 
 from __future__ import annotations
@@ -59,11 +50,12 @@ class OddSize(ValueError):
 class IntMatrix:
     """Immutable dense integer matrix stored row-major as nested tuples.
 
-    ``first_column`` is recorded by ``lower_toeplitz``, else None; the rows
-    of such a matrix are built from it on the first read of ``entries``.
+    ``first_column`` is recorded by ``lower_toeplitz``, else None.  A matrix
+    from ``lower_toeplitz`` or ``theorem_matrix`` records its order and a
+    builder instead of rows, and builds them on the first read of ``entries``.
     """
 
-    __slots__ = ("entries", "first_column")
+    __slots__ = ("entries", "first_column", "_order", "_build")
 
     def __init__(self, rows):
         entries = tuple(tuple(map(operator.index, row)) for row in rows)
@@ -73,19 +65,15 @@ class IntMatrix:
         if any(len(row) != width for row in entries):
             raise ValueError("matrix rows have unequal lengths")
         self.entries = entries
-        self.first_column = None
+        self.first_column = self._order = self._build = None
 
     def __getattr__(self, name):
-        # Python calls this only where normal lookup fails, so set slots
-        # read at full speed; an unset ``entries`` holds the rows of a
-        # lower_toeplitz matrix, built here on the first read.
-        if name != "entries" or self.first_column is None:
+        # Called only where normal lookup fails, so set slots read at full
+        # speed; the builder is module-level and holds no reference to self.
+        if name != "entries" or self._build is None:
             raise AttributeError(name)
-        col = self.first_column
-        k = len(col)
-        # Row i is w[k - 1 - i : 2k - 1 - i].
-        w = col[::-1] + (0,) * (k - 1)
-        self.entries = tuple([w[s : s + k] for s in range(k - 1, -1, -1)])
+        build, *args = self._build
+        self.entries = build(*args)
         return self.entries
 
     @classmethod
@@ -98,17 +86,15 @@ class IntMatrix:
         col = tuple(map(operator.index, col))
         if not col:
             raise ValueError("matrix needs at least one row and one column")
-        m = object.__new__(cls)
-        m.first_column = col
-        return m
+        return _deferred(len(col), col, _toeplitz_rows, col)
 
     @property
     def rows(self) -> int:
-        return len(self.first_column or self.entries)
+        return self._order or len(self.entries)
 
     @property
     def cols(self) -> int:
-        return len(self.first_column or self.entries[0])
+        return self._order or len(self.entries[0])
 
     @property
     def is_square(self) -> bool:
@@ -171,8 +157,21 @@ def _unchecked(entries: tuple) -> IntMatrix:
     """An IntMatrix of tuple rows built here from checked ones, unchecked."""
     m = object.__new__(IntMatrix)
     m.entries = entries
-    m.first_column = None
+    m.first_column = m._order = m._build = None
     return m
+
+
+def _deferred(order: int, first_column, *build) -> IntMatrix:
+    """A square IntMatrix whose rows build[0](*build[1:]) makes when read."""
+    m = object.__new__(IntMatrix)
+    m.first_column, m._order, m._build = first_column, order, build
+    return m
+
+
+def _toeplitz_rows(col: tuple) -> tuple:
+    k = len(col)
+    w = col[::-1] + (0,) * (k - 1)  # row i is w[k - 1 - i : 2k - 1 - i]
+    return tuple([w[s : s + k] for s in range(k - 1, -1, -1)])
 
 
 def unipotent_inverse(m: IntMatrix) -> IntMatrix:
@@ -183,9 +182,7 @@ def unipotent_inverse(m: IntMatrix) -> IntMatrix:
     only its column 0 is solved, by forward substitution from p alone:
     entry i is minus the sum of p[i - t] * inv[t] over the nonzeros inv[t]
     found so far.  That costs O(k * z) for z the nonzeros of the result,
-    and no row of m or of the result is built.  A Cartan matrix is such an
-    m, and its inverse's first column holds the coefficients of
-    prod_j (1 - t^a_j), a product of d binomials, so z <= 2^d.
+    z <= 2^d for a Cartan m (see above), and builds no row of m or of it.
 
     >>> unipotent_inverse(IntMatrix.lower_toeplitz([1, 1, 3, 3])).to_lists()
     [[1, 0, 0, 0], [-1, 1, 0, 0], [-2, -1, 1, 0], [2, -2, -1, 1]]
@@ -217,7 +214,8 @@ def theorem_matrix(c: IntMatrix, d: int) -> IntMatrix:
     X[i-1][j-1] + p_i * q_j; Id obeys the same recurrence with 1 in place
     of p_0 * q_0.  So row i of M is row i - 1 shifted right by one plus
     sign * p_i times the z nonzeros of q: O(k^2) list copying and O(k * z)
-    multiplications, with z <= 2^d for a Cartan matrix.
+    multiplications, with z <= 2^d for a Cartan matrix, made on the first
+    read of ``entries`` (``ksing compute``, ``matrix``, ``snf``, ``verify-paper``).
 
     >>> theorem_matrix(IntMatrix.lower_toeplitz([1, 3]), 3).to_lists()
     [[0, -3], [3, -9]]
@@ -226,18 +224,21 @@ def theorem_matrix(c: IntMatrix, d: int) -> IntMatrix:
     if d < 2:
         raise ValueError(f"dimension d must be at least 2, got {d}")
     sign = 1 if d % 2 == 1 else -1
-    k = c.rows
     q = unipotent_inverse(c)
-    q_nonzeros = [(j, sign * x) for j, x in enumerate(q.first_column) if x]
+    q_nonzeros = tuple((j, sign * x) for j, x in enumerate(q.first_column) if x)
+    return _deferred(c.rows, None, _theorem_rows, c.first_column, q_nonzeros)
+
+
+def _theorem_rows(p: tuple, q_nonzeros: tuple) -> tuple:
     rows = []
-    row = [-1] + [0] * (k - 1)
-    for p in c.first_column:
-        for j, x in q_nonzeros:
-            row[j] += p * x
+    row = [-1] + [0] * (len(p) - 1)
+    for x in p:
+        for j, y in q_nonzeros:
+            row[j] += x * y
         rows.append(tuple(row))
         row.insert(0, 0)
         row.pop()
-    return _unchecked(tuple(rows))
+    return tuple(rows)
 
 
 def determinant(m: IntMatrix) -> int:
@@ -336,28 +337,29 @@ def smith_normal_form(m: IntMatrix) -> tuple[int, ...]:
     remains (see determinant), its content c, and _divisors_mod, the
     elimination of A / c over Z/r for r = R / c**k.  As SNF(c * B) =
     c * SNF(B), each divisor of A is c times one of A / c, and r = 1 needs
-    none, as for G(N, d) in ktheory.pipeline_divisors.  A singular or
-    non-square m takes the diagonal of smith_certificate, which also gives
-    the trailing zero divisors (gcd(0, q) = q downstream).
+    none.  A lower-Toeplitz m with no +-1 entry is A itself, with R and c
+    read off its first column, so G(N, d) of ktheory.pipeline_divisors builds
+    no row.  A singular or non-square m takes the diagonal of
+    smith_certificate, with the trailing zero divisors (gcd(0, q) = q).
 
     >>> smith_normal_form(IntMatrix([[2, 0], [0, 3]]))
     (1, 6)
     """
     if m.is_square:
-        block = _unit_pivot_block(m)
-        ones = (1,) * (m.rows - len(block))
-        if not block:
+        col = m.first_column  # if recorded, it holds every nonzero entry of m
+        a = m if col and 1 not in col and -1 not in col else _unchecked(_unit_pivot_block(m))
+        k = a.rows
+        ones = (1,) * (m.rows - k)
+        if not k:
             return ones
-        whole = block is m.entries  # then m keeps its recorded first column
-        r = abs(determinant(m if whole else _unchecked(block)))
+        r = abs(determinant(a))
         if r:
-            recorded = m.first_column if whole else None
-            c = math.gcd(*(recorded or [x for row in block for x in row]))
-            r //= c ** len(block)
+            c = math.gcd(*(a.first_column or [x for row in a.entries for x in row]))
+            r //= c**k
             if r == 1:
-                return ones + (c,) * len(block)
-            a = block if c == 1 else tuple(tuple(x // c for x in row) for row in block)
-            return ones + tuple(c * x for x in _divisors_mod(a, r))
+                return ones + (c,) * k
+            b = a.entries if c == 1 else tuple(tuple(x // c for x in row) for row in a.entries)
+            return ones + tuple(c * x for x in _divisors_mod(b, r))
     d = smith_certificate(m)[1]
     return tuple(d[i, i] for i in range(min(m.rows, m.cols)))
 
@@ -370,12 +372,9 @@ def _unit_pivot_block(m: IntMatrix) -> tuple[tuple[int, ...], ...]:
     and drops its row and column, until no +-1 entry is left.  With every
     pivot a unit, the block left is a Schur complement whose entries are
     minors of m, so they stay within the Hadamard bound.  An m without a
-    +-1 entry is the block; so is every matrix ktheory.pipeline_divisors
-    passes: G(N, d), whose entries are multiples of N.
+    +-1 entry is the block.
     """
-    # A recorded first column holds every nonzero entry of the matrix.
-    lines = m.entries if m.first_column is None else (m.first_column,)
-    if not any(1 in row or -1 in row for row in lines):
+    if not any(1 in row or -1 in row for row in m.entries):
         return m.entries
     rows = {i: {j: x for j, x in enumerate(row) if x} for i, row in enumerate(m.entries)}
     left = set(range(m.cols))

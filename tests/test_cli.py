@@ -13,7 +13,13 @@ import pytest
 import ksing.cli
 import ksing.ktheory
 import ksing.linalg
-from ksing import KTheoryReport, SourceUnavailable, matrix_from_source, quiver_from_json
+from ksing import (
+    IntMatrix,
+    KTheoryReport,
+    SourceUnavailable,
+    matrix_from_source,
+    quiver_from_json,
+)
 from ksing.cli import main
 
 from conftest import all_valid_params
@@ -373,6 +379,24 @@ def test_sweep_writes_each_row_before_computing_the_next(monkeypatch):
     # so the first set's rows are out before the last set is computed.
     assert [text.splitlines() for _, text in seen] == [lines[:i] for i in range(1, 9)]
     assert [params.n for params, _ in seen] == [3, 3, 4, 4, 5, 5, 6, 6]
+
+
+def test_sweep_leaves_the_rows_of_m_unbuilt(capsys, monkeypatch):
+    # The sweep prints det M in closed form and the divisors of
+    # pipeline_divisors, so no row of any report's M is built.
+    reports = []
+    compute = ksing.ktheory.compute_ktheory
+
+    def recording(*args):
+        reports.append(compute(*args))
+        return reports[-1]
+
+    monkeypatch.setattr(ksing.ktheory, "compute_ktheory", recording)
+    code, out, _ = run_cli(capsys, "sweep", "--n", "2-8", "--weights-mode", "all", "--primes", "2,3")
+    assert code == 0 and len(out.splitlines()) == 1 + len(reports) > 50
+    for report in reports:
+        with pytest.raises(AttributeError):
+            IntMatrix.entries.__get__(report.matrix)  # the slot, unset
 
 
 def test_sweep_family_rows(capsys):

@@ -1,5 +1,6 @@
 import doctest
 import functools
+import gc
 import itertools
 import json
 import pickle
@@ -46,6 +47,7 @@ from conftest import (
     divisors_by_extended_gcds,
     mod_q_annihilator_counts,
     predicted_annihilator_counts,
+    reference_theorem_matrix,
     zeros,
 )
 
@@ -667,6 +669,46 @@ def test_l_part_at_v_at_least_2_matches_the_smith_form_of_g():
             assert l ** _proven_exponent(l, v, d - 1) % divisors[-1] == 0, (q, d)
             checked += 1
     assert checked == 225
+
+
+def test_pipeline_report_leaves_the_rows_of_m_unbuilt():
+    # The divisors come from (n, d) alone, so nothing reads M until it is
+    # printed; once read, its rows are those of the dense route.  The report
+    # holds no reference cycle, so reference counting frees it.
+    params = validate_params(61, 3, (1, 1, 59))
+    gc.collect()
+    gc.disable()
+    try:
+        report = compute_ktheory(params, validate_prime_power(61, 1))
+        m = report.matrix
+        assert (m.rows, m.cols, m.is_square) == (60, 60, True)
+        with pytest.raises(AttributeError):
+            IntMatrix.entries.__get__(m)  # the slot, unset
+        del report, m
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    m = compute_ktheory(params, validate_prime_power(61, 1)).matrix
+    assert m == reference_theorem_matrix(cartan_matrix(path_counts_gf(params)), 3)
+
+
+def test_g_of_a_prime_n_is_never_built(monkeypatch):
+    # Proof step (h): G(N, d) is N times a unipotent matrix, so its Smith
+    # form reads |det| and the content off the recorded first column.
+    snf = ksing.ktheory.smith_normal_form
+    blocks = []
+
+    def recording(m):
+        blocks.append(m)
+        return snf(m)
+
+    monkeypatch.setattr(ksing.ktheory, "smith_normal_form", recording)
+    for n, d in [(n, d) for n in (2, 3, 5, 7, 11, 13, 61, 151) for d in range(2, n + 1)] + [(77, 5)]:
+        assert pipeline_divisors(n, d) == (1,) * (n - d) + (n,) * (d - 1)
+    assert len(blocks) == 1 + 2 + 4 + 6 + 10 + 12 + 60 + 150 + 1
+    for g in blocks:
+        with pytest.raises(AttributeError):
+            IntMatrix.entries.__get__(g)  # the slot, unset
 
 
 def test_pipeline_divisors_take_no_bareiss_determinant(monkeypatch):

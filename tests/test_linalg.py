@@ -1,5 +1,7 @@
+import gc
 import math
 import random
+import types
 
 import pytest
 from hypothesis import example, given, settings
@@ -266,18 +268,38 @@ class TestTrustBoundary:
                     call(rebuilt)
 
     def test_toeplitz_route_builds_no_rows_of_c_or_its_inverse(self):
-        # Only M's rows are built; C and C^-1 are read off their columns,
-        # and their rows, once read, are those of the dense route.
+        # No rows of C, C^-1 or M are built until read, not even for their
+        # shape; C and C^-1 are read off their columns, and the rows of all
+        # three, once read, are those of the dense route.
         for n, d, weights in FAMILY_AND_WIDE_SETS[::6]:
             c = cartan_matrix(path_counts_gf(validate_params(n, d, weights)))
             inverse = unipotent_inverse(c)
             m = theorem_matrix(c, d)
-            assert (c.rows, c.cols, inverse.rows, inverse.cols) == (n - 1,) * 4
-            for unbuilt in (c, inverse):
+            shapes = [(x.rows, x.cols) for x in (c, inverse, m)]
+            assert shapes == [(n - 1, n - 1)] * 3 and m.is_square
+            for unbuilt in (c, inverse, m):
                 with pytest.raises(AttributeError):
                     IntMatrix.entries.__get__(unbuilt)  # the slot, unset
             assert m == reference_theorem_matrix(c, d)
             assert inverse == reference_inverse(IntMatrix(c.entries))
+
+    def test_deferred_rows_hold_no_reference_to_their_matrix(self):
+        # The builder is a module-level function over recorded tuples, so
+        # reference counting frees the matrix; the cyclic collector is not
+        # needed.
+        c = cartan_matrix(path_counts_gf(validate_params(61, 3, (1, 1, 59))))
+        for m in (c, unipotent_inverse(c), theorem_matrix(c, 3)):
+            build = m._build
+            assert build[0].__qualname__ == build[0].__name__
+            assert build[0].__closure__ is None
+            seen, todo = set(), [build]
+            while todo:
+                obj = todo.pop()
+                assert obj is not m
+                if id(obj) in seen or isinstance(obj, types.FunctionType):
+                    continue
+                seen.add(id(obj))
+                todo.extend(gc.get_referents(obj))
 
     @pytest.mark.parametrize("corner", [0, 2, -1])
     def test_recorded_column_rejects_as_the_rows_do(self, corner):

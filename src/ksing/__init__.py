@@ -5,15 +5,15 @@ matrix -> the integer matrix M -> kernel/cokernel over Z/l^nu, plus
 closed-form family matrices, a published reference fixture, and a
 verification mode that reports discrepancies between the two.  The result
 types (QuotientParams, KTheoryReport, ...) are immutable named tuples.
+
+The quiver and the verification code, which no ``compute`` or ``sweep``
+answer runs, load on first use: ``_LATE`` names the module that binds each
+of their names, and PEP 562's module ``__getattr__`` reads it from there.
 """
 
-from .cartan import (
-    NotHomogeneous,
-    PathExplosion,
-    cartan_matrix,
-    path_counts_bruteforce,
-    path_counts_gf,
-)
+import importlib as _importlib
+
+from .cartan import NotHomogeneous, PathExplosion, cartan_matrix, path_counts_gf
 from .errors import InputError
 from .ktheory import (
     LOW_DIM_PARAMS,
@@ -25,16 +25,11 @@ from .ktheory import (
     FiniteAbelianGroup,
     KTheoryReport,
     SourceUnavailable,
-    VerificationReport,
+    _VERIFICATION_NAMES,
     compute_ktheory,
-    corollary_analysis,
-    family_matrix_closed_form,
     matrix_from_source,
-    mod_q_kernel_cokernel,
-    multiset_number,
     pipeline_divisors,
     pipeline_matrix,
-    verify_paper,
 )
 from .linalg import (
     IntMatrix,
@@ -42,8 +37,6 @@ from .linalg import (
     NotUnipotent,
     OddSize,
     determinant,
-    pfaffian,
-    smith_certificate,
     smith_normal_form,
     theorem_matrix,
     unipotent_inverse,
@@ -62,7 +55,29 @@ from .params import (
     validate_params,
     validate_prime_power,
 )
-from .quiver import Arrow, Quiver, Relation, build_quiver, export_quiver, quiver_from_json
+
+#: Each name bound on first use, and the module it is read from: the layer
+#: that documents it, so that every binding of it is one object.
+_LATE = {
+    **dict.fromkeys(
+        ("Arrow", "Quiver", "Relation", "build_quiver", "export_quiver", "quiver_from_json"),
+        "quiver",
+    ),
+    **dict.fromkeys(("pfaffian", "smith_certificate"), "linalg"),
+    "path_counts_bruteforce": "cartan",
+    **dict.fromkeys(_VERIFICATION_NAMES, "ktheory"),
+}
+
+
+def __getattr__(name):
+    if name in ("quiver", "verification"):
+        return _importlib.import_module(f"{__name__}.{name}")  # binds it here too
+    if name not in _LATE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    layer = _importlib.import_module(f"{__name__}.{_LATE[name]}")
+    value = globals()[name] = getattr(layer, name)
+    return value
+
 
 __version__ = "0.1.0"
 

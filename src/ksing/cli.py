@@ -10,17 +10,15 @@ reader, 2 invalid input, 3 internal error.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import os
 import sys
 from collections.abc import Iterator
 from itertools import chain
 
 from . import ktheory
-from .cartan import cartan_matrix, path_counts_bruteforce, path_counts_gf
+from .cartan import cartan_matrix, path_counts_gf
 from .errors import InputError
-from .linalg import determinant, smith_certificate
+from .linalg import determinant
 from .params import (
     DimensionTooSmall,
     NonPositiveExponent,
@@ -30,7 +28,18 @@ from .params import (
     validate_params,
     validate_prime_power,
 )
-from .quiver import build_quiver, export_quiver
+
+#: What only ``quiver``, ``cartan --check-bruteforce`` and ``snf`` run.
+#: Commands read them through sys.modules[__name__]: a binding set on this
+#: module wins, else __getattr__ binds the package's on first use.
+_LATE = ("build_quiver", "export_quiver", "path_counts_bruteforce", "smith_certificate")
+
+
+def __getattr__(name):
+    if name not in _LATE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(sys.modules[__package__], name)
+    return value
 
 
 class RangeTooLarge(InputError):
@@ -118,6 +127,8 @@ def _print_matrix(m, indent: str = "  ") -> None:
 
 
 def _emit_json(payload: dict) -> None:
+    import json
+
     print(json.dumps(payload, indent=2))
 
 
@@ -239,8 +250,9 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_quiver(args) -> int:
-    q = build_quiver(_params_from_args(args))
-    sys.stdout.write(export_quiver(q, args.format))
+    this = sys.modules[__name__]
+    q = this.build_quiver(_params_from_args(args))
+    sys.stdout.write(this.export_quiver(q, args.format))
     return 0
 
 
@@ -254,7 +266,8 @@ def _cmd_cartan(args) -> int:
     checked = None
     if args.check_bruteforce:
         cap = 10_000_000 if cap is None else cap
-        brute = path_counts_bruteforce(build_quiver(params), cap=cap)
+        this = sys.modules[__name__]
+        brute = this.path_counts_bruteforce(this.build_quiver(params), cap=cap)
         checked = brute == counts
     if args.format == "json":
         payload = {
@@ -299,7 +312,7 @@ def _cmd_matrix(args) -> int:
 def _cmd_snf(args) -> int:
     params = _params_from_args(args)
     m = ktheory.matrix_from_source(params, _SOURCE_BY_ALIAS[args.source])
-    u, d, v = smith_certificate(m)
+    u, d, v = sys.modules[__name__].smith_certificate(m)
     divisors = [d[i, i] for i in range(d.rows)]  # M is square
     if args.format == "json":
         _emit_json(
@@ -455,6 +468,8 @@ def _cmd_sweep(args) -> int:
         rows = [dict(zip(_SWEEP_COLUMNS, row)) for row in rows]
         _emit_json({"schema_version": 1, "rows": rows})
         return 0
+    import csv
+
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(_SWEEP_COLUMNS)
     # The vanishing column, second to last, is spelled as in JSON.

@@ -14,26 +14,42 @@ matrices for n = d with all weights 1, or from the immutable reference
 matrix shipped for (n, d, a) = (5, 3, (1, 2, 2)) exactly as printed in the
 original published computation.  ``verify_paper`` compares those sources
 against the pipeline and reports agreement or a structured discrepancy;
-it never reconciles them silently.
+it never reconciles them silently.  It, the closed form and the other
+checks live in ksing.verification and are bound here on first use.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import sys
 from typing import NamedTuple, Optional
 
 from .cartan import cartan_matrix, path_counts_gf
 from . import linalg
 from .errors import InputError
-from .linalg import (
-    IntMatrix,
-    determinant,
-    pfaffian,
-    smith_normal_form,
-    theorem_matrix,
+from .linalg import IntMatrix, smith_normal_form, theorem_matrix
+from .params import PrimePower, QuotientParams, validate_params
+
+_VERIFICATION_NAMES = (
+    "VerificationReport",
+    "corollary_analysis",
+    "family_matrix_closed_form",
+    "mod_q_kernel_cokernel",
+    "multiset_number",
+    "verify_paper",
 )
-from .params import DimensionTooSmall, PrimePower, QuotientParams, validate_params
+
+
+def __getattr__(name):
+    # PEP 562, as in linalg: internal callers read these through
+    # sys.modules[__name__], so a wrapper set here is called.
+    if name not in _VERIFICATION_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import verification
+
+    value = globals()[name] = getattr(verification, name)
+    return value
 
 
 class SourceUnavailable(InputError):
@@ -177,64 +193,8 @@ class KTheoryReport(NamedTuple):
         )
 
 
-def multiset_number(d: int, r: int) -> int:
-    """Number of multisets of size r drawn from d symbols.
-
-    >>> multiset_number(3, 2)
-    6
-    """
-    d = operator.index(d)
-    r = operator.index(r)
-    if d < 1 or r < 0:
-        raise ValueError(f"need d >= 1 and r >= 0, got ({d}, {r})")
-    return math.comb(d + r - 1, r)
-
-
-def family_matrix_closed_form(d: int) -> IntMatrix:
-    """Closed-form (d-1)x(d-1) matrix for n = d with all weights 1.
-
-    Evaluates the published formulas.  Their odd-d and even-d variants are
-    M = s * X - Id, s = (-1)**(d-1), for one X, the printed stand-in for
-    C @ (C^-1)^T, in multiset numbers m_r = multiset_number(d, r): with
-    e = |i - j| and 1-based i, j, X[i][j] = +-m_e - sum_(0<r<min(i, j))
-    m_r * m_(e+r), the sign + for i >= j.  Whether the result matches the
-    pipeline matrix is checked by verify_paper, not assumed here; it does
-    only at d = 3.
-    """
-    d = operator.index(d)
-    if d < 3:
-        raise DimensionTooSmall(f"closed-form family needs d >= 3, got {d}")
-    sign = 1 if d % 2 == 1 else -1
-    ms = [multiset_number(d, r) for r in range(d - 1)]
-
-    def x(i, j):
-        if i < j:
-            return -sum(map(operator.mul, ms[:i], ms[j - i:]))
-        return ms[i - j] - sum(map(operator.mul, ms[1:j], ms[i - j + 1:]))
-
-    return IntMatrix([[sign * x(i, j) - (i == j) for j in range(1, d)] for i in range(1, d)])
-
-
 def _groups_from_divisors(divisors, q: int) -> FiniteAbelianGroup:
     return FiniteAbelianGroup.from_orders(math.gcd(di, q) for di in divisors)
-
-
-def mod_q_kernel_cokernel(
-    m: IntMatrix, q: int
-) -> tuple[FiniteAbelianGroup, FiniteAbelianGroup]:
-    """Kernel and cokernel of a square integer matrix acting on (Z/q)^k.
-
-    Both are the direct sum of Z/gcd(d_i, q) over the integral Smith
-    divisors d_i, with gcd(0, q) = q; they are returned as (kernel,
-    cokernel) in canonical form and always coincide.
-    """
-    q = operator.index(q)
-    if q < 2:
-        raise ValueError(f"modulus must be at least 2, got {q}")
-    if not m.is_square:
-        raise ValueError(f"need a square matrix, got {m.rows}x{m.cols}")
-    group = _groups_from_divisors(smith_normal_form(m), q)
-    return group, group
 
 
 def pipeline_matrix(params: QuotientParams) -> IntMatrix:
@@ -408,19 +368,10 @@ def matrix_from_source(params: QuotientParams, source: str) -> IntMatrix:
     if gap is not None:
         raise SourceUnavailable(gap)
     if source == "closed-form-family":
-        return family_matrix_closed_form(params.d)
+        return sys.modules[__name__].family_matrix_closed_form(params.d)
     if source == "paper-fixture":
         return LOW_DIM_PRINTED_MATRIX
     return pipeline_matrix(params)
-
-
-def corollary_analysis(
-    report: KTheoryReport, integral_hints=None
-) -> tuple[CorollaryNote, ...]:
-    """Logical conclusions about integral K-groups, without computing them."""
-    return _corollary_notes(
-        report.coefficient.q, report.even_group, report.odd_group, integral_hints
-    )
 
 
 def _corollary_notes(
@@ -480,133 +431,4 @@ def compute_ktheory(
         even_group=group,
         odd_group=group,
         corollary_notes=_corollary_notes(coeff.q, group, group),
-    )
-
-
-class VerificationReport(NamedTuple):
-    """Outcome of comparing a reference matrix against the pipeline.
-
-    Disagreement is a report outcome, never an exception; entry_diffs
-    lists (row, col, reference, computed) for every differing entry using
-    1-based indices.
-    """
-
-    fixture: str
-    params: QuotientParams
-    reference_matrix: IntMatrix
-    computed_matrix: IntMatrix
-    agree: bool
-    entry_diffs: tuple[tuple[int, int, int, int], ...]
-    reference_det: int
-    computed_det: int
-    pfaffian: Optional[int]
-    computed_det_is_square: bool
-    notes: tuple[str, ...] = ()
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "verification": {
-                "fixture": self.fixture,
-                "params": self.params.to_json_dict(),
-                "reference_matrix": self.reference_matrix.to_lists(),
-                "computed_matrix": self.computed_matrix.to_lists(),
-                "agree": self.agree,
-                "entry_diffs": [list(t) for t in self.entry_diffs],
-                "reference_det": self.reference_det,
-                "computed_det": self.computed_det,
-                "pfaffian": self.pfaffian,
-                "computed_det_is_square": self.computed_det_is_square,
-                "notes": list(self.notes),
-            },
-        }
-
-
-def _entry_diffs(
-    ref: IntMatrix, got: IntMatrix
-) -> tuple[tuple[int, int, int, int], ...]:
-    return tuple(
-        (i + 1, j + 1, ref[i, j], got[i, j])
-        for i in range(ref.rows)
-        for j in range(ref.cols)
-        if ref[i, j] != got[i, j]
-    )
-
-
-def _is_perfect_square(x: int) -> bool:
-    return x >= 0 and math.isqrt(x) ** 2 == x
-
-
-def verify_paper(fixture: str, d: Optional[int] = None) -> VerificationReport:
-    """Compare a reference matrix with the pipeline and report the facts.
-
-    fixture "low-dim-example": the published 4x4 matrix for n = 5, d = 3,
-    weights (1, 2, 2) versus the pipeline, including both determinants and
-    the Pfaffian identity det M = det(C - C^T) = Pf(C - C^T)**2 that the
-    pipeline matrix satisfies for odd d and even size.
-
-    fixture "family": the closed-form matrix for the given d versus the
-    pipeline at n = d with all weights 1.  Only "family" takes a d.
-    """
-    if fixture == "low-dim-example":
-        if d is not None:
-            raise InputError(f"fixture 'low-dim-example' takes no dimension d, got {d}")
-        params = LOW_DIM_PARAMS
-        reference = LOW_DIM_PRINTED_MATRIX
-    elif fixture == "family":
-        if d is None:
-            raise InputError("fixture 'family' needs a dimension d")
-        d = operator.index(d)
-        params = validate_params(d, d, (1,) * d)
-        reference = family_matrix_closed_form(d)
-    else:
-        raise InputError(
-            f"unknown fixture {fixture!r}; expected 'low-dim-example' or"
-            f" 'family'"
-        )
-
-    computed = pipeline_matrix(params)
-    diffs = _entry_diffs(reference, computed)
-    ref_det = determinant(reference)
-    got_det = determinant(computed)
-
-    pf = None
-    if params.d % 2 == 1 and params.vertex_count % 2 == 0:
-        c = cartan_matrix(path_counts_gf(params))
-        pf = pfaffian(c - c.transpose())
-
-    notes = []
-    if diffs:
-        total = reference.rows * reference.cols
-        notes.append(
-            f"reference and pipeline matrices differ in {len(diffs)} of"
-            f" {total} entries"
-        )
-    else:
-        notes.append("reference and pipeline matrices agree exactly")
-    notes.append(f"reference det = {ref_det}, pipeline det = {got_det}")
-    if pf is not None:
-        notes.append(
-            f"pipeline det equals det(C - C^T) = Pf(C - C^T)**2 ="
-            f" ({pf})**2 = {pf * pf}"
-        )
-    if fixture == "low-dim-example":
-        notes.append(
-            f"published determinant claim: {LOW_DIM_PRINTED_DET};"
-            f" pipeline determinant is"
-            f" {'a' if _is_perfect_square(got_det) else 'not a'} perfect square"
-        )
-
-    return VerificationReport(
-        fixture=fixture,
-        params=params,
-        reference_matrix=reference,
-        computed_matrix=computed,
-        agree=not diffs,
-        entry_diffs=diffs,
-        reference_det=ref_det,
-        computed_det=got_det,
-        pfaffian=pf,
-        computed_det_is_square=_is_perfect_square(got_det),
-        notes=tuple(notes),
     )

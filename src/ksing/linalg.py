@@ -27,12 +27,25 @@ over Z, the content c of the block left divided out, then elimination over
 Z/r for a multiple r of the last divisor (Storjohann 2000).
 smith_certificate returns U, D, V from an elimination over Z whose entries
 are not bounded; ``ksing snf`` runs it alone and prints the diagonal of D.
+It and pfaffian live in ksing.verification and are bound here on first use.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import sys
+
+
+def __getattr__(name):
+    # PEP 562: called only for a name not bound here.  Internal callers read
+    # these through sys.modules[__name__], so a wrapper set here is called.
+    if name not in ("pfaffian", "smith_certificate"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import verification
+
+    value = globals()[name] = getattr(verification, name)
+    return value
 
 
 class NotUnipotent(ValueError):
@@ -50,9 +63,10 @@ class OddSize(ValueError):
 class IntMatrix:
     """Immutable dense integer matrix stored row-major as nested tuples.
 
-    ``first_column`` is recorded by ``lower_toeplitz``, else None.  A matrix
-    from ``lower_toeplitz`` or ``theorem_matrix`` records its order and a
-    builder instead of rows, and builds them on the first read of ``entries``.
+    ``first_column`` is recorded by ``lower_toeplitz`` and
+    ``unipotent_inverse``, else None.  A matrix from either of them or from
+    ``theorem_matrix`` records its order and a builder instead of rows, and
+    builds them on the first read of ``entries``.
     """
 
     __slots__ = ("entries", "first_column", "_order", "_build")
@@ -203,7 +217,8 @@ def unipotent_inverse(m: IntMatrix) -> IntMatrix:
         if x:
             col[i] = x
             nonzeros.append((i, x))
-    return IntMatrix.lower_toeplitz(col)
+    col = tuple(col)  # ints solved from the checked p: no second check
+    return _deferred(k, col, _toeplitz_rows, col)
 
 
 def theorem_matrix(c: IntMatrix, d: int) -> IntMatrix:
@@ -225,11 +240,11 @@ def theorem_matrix(c: IntMatrix, d: int) -> IntMatrix:
         raise ValueError(f"dimension d must be at least 2, got {d}")
     sign = 1 if d % 2 == 1 else -1
     q = unipotent_inverse(c)
-    q_nonzeros = tuple((j, sign * x) for j, x in enumerate(q.first_column) if x)
-    return _deferred(c.rows, None, _theorem_rows, c.first_column, q_nonzeros)
+    return _deferred(c.rows, None, _theorem_rows, c.first_column, q.first_column, sign)
 
 
-def _theorem_rows(p: tuple, q_nonzeros: tuple) -> tuple:
+def _theorem_rows(p: tuple, q: tuple, sign: int) -> tuple:
+    q_nonzeros = [(j, sign * y) for j, y in enumerate(q) if y]
     rows = []
     row = [-1] + [0] * (len(p) - 1)
     for x in p:
@@ -273,61 +288,6 @@ def determinant(m: IntMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def pfaffian(m: IntMatrix) -> int:
-    """Exact Pfaffian of an even-sized skew-symmetric integer matrix.
-
-    Fraction-free Parlett-Reid elimination, the Pfaffian form of Bareiss:
-    step k = 0, 2, 4, ... pivots on p = a[k][k+1], first swapping in a row
-    and its column when that is 0 (Pf changes sign), and sets each a[i][j],
-    k + 1 < i < j, to (p a[i][j] - a[k][i] a[k+1][j] + a[k][j] a[k+1][i])
-    // prev, for prev the pivot before (1 at the start).  Then a[i][j] is
-    the Pfaffian of the principal minor on rows 0..k+1, i, j, so by the
-    Pfaffian form of Sylvester's identity, Pf(I) Pf(I+abcd) = Pf(I+ab)
-    Pf(I+cd) - Pf(I+ac) Pf(I+bd) + Pf(I+ad) Pf(I+bc) (Tanner 1878; Knuth,
-    "Overlapping Pfaffians", 1996), each division is exact, and the last
-    pivot is Pf; a remainder raises ArithmeticError.  The sign convention
-    is Pf([[0, a], [-a, 0]]) = a, and pfaffian(m)**2 == determinant(m).
-    """
-    if not m.is_square:
-        raise NotSkewSymmetric(f"matrix is {m.rows}x{m.cols}, not square")
-    n = m.rows
-    e = m.entries
-    for i in range(n):
-        for j in range(i, n):
-            if e[i][j] != -e[j][i]:
-                raise NotSkewSymmetric(
-                    f"entries ({i}, {j}) and ({j}, {i}) are {e[i][j]} and"
-                    f" {e[j][i]}"
-                )
-    if n % 2 == 1:
-        raise OddSize(f"Pfaffian needs even size, got {n}")
-    a = m.to_lists()
-    sign = 1
-    prev = 1
-    for k in range(0, n - 1, 2):
-        piv = next((j for j in range(k + 1, n) if a[k][j]), None)
-        if piv is None:
-            return 0
-        if piv != k + 1:
-            # Swap the row and the matching column; Pf changes sign.
-            a[k + 1], a[piv] = a[piv], a[k + 1]
-            for row in a:
-                row[k + 1], row[piv] = row[piv], row[k + 1]
-            sign = -sign
-        rk, rk1 = a[k], a[k + 1]
-        p = rk[k + 1]
-        for i in range(k + 2, n):
-            ri, x, y = a[i], rk[i], rk1[i]
-            for j in range(i + 1, n):
-                v, r = divmod(p * ri[j] - x * rk1[j] + rk[j] * y, prev)
-                if r:
-                    raise ArithmeticError(f"inexact Pfaffian step at ({i}, {j})")
-                ri[j] = v
-                a[j][i] = -v
-        prev = p
-    return sign * prev
-
-
 def smith_normal_form(m: IntMatrix) -> tuple[int, ...]:
     """Smith divisors of m: the diagonal of D in smith_certificate(m).
 
@@ -360,7 +320,7 @@ def smith_normal_form(m: IntMatrix) -> tuple[int, ...]:
                 return ones + (c,) * k
             b = a.entries if c == 1 else tuple(tuple(x // c for x in row) for row in a.entries)
             return ones + tuple(c * x for x in _divisors_mod(b, r))
-    d = smith_certificate(m)[1]
+    d = sys.modules[__name__].smith_certificate(m)[1]
     return tuple(d[i, i] for i in range(min(m.rows, m.cols)))
 
 
@@ -475,60 +435,3 @@ def _part_prime_to(r: int, x: int) -> int:
         r //= g
         g = math.gcd(r, g)
     return r
-
-
-def smith_certificate(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Unimodular U, V and diagonal D with U @ m @ V == D.
-
-    Reduction over Z on w = [[m, I], [I, 0]]: row operations on the top
-    rows act on m and U, column operations on the left columns on m and V.
-    Step t starts at the least nonzero |entry| left, then works in rounds:
-    move the pivot to (t, t), reduce column t below it and row t right of
-    it to floor remainders, and pivot next on the least remainder.  Once
-    none is left, fold in a row the pivot does not divide, so that each
-    divisor divides the next.  The diagonal of D is then smith_normal_form
-    of m: nonnegative, each nonzero entry dividing the next, zeros last.
-    Entries are not bounded: on the unit-weight family U and V reach 1,155
-    bits at n = 19 and 29,760 bits at n = 32.
-
-    >>> m = IntMatrix([[2, 4], [6, 8]])
-    >>> u, d, v = smith_certificate(m)
-    >>> d.to_lists(), u @ m @ v == d
-    ([[2, 0], [0, 4]], True)
-    """
-    nrows, ncols = m.rows, m.cols
-    w = [list(row) + [int(i == j) for j in range(nrows)] for i, row in enumerate(m.entries)]
-    w += [[int(i == j) for j in range(ncols)] + [0] * nrows for i in range(ncols)]
-    for t in range(min(nrows, ncols)):
-        nonzero = [
-            (abs(w[i][j]), i, j) for i in range(t, nrows) for j in range(t, ncols) if w[i][j]
-        ]
-        while nonzero:
-            _, i, j = min(nonzero)
-            w[i], w[t] = w[t], w[i]
-            for row in w:
-                row[j], row[t] = row[t], row[j]
-            if w[t][t] < 0:
-                w[t] = [-x for x in w[t]]
-            p = w[t][t]
-            for i in range(t + 1, nrows):
-                q = w[i][t] // p
-                if q:
-                    w[i] = [x - q * y for x, y in zip(w[i], w[t])]
-            for j in range(t + 1, ncols):
-                q = w[t][j] // p
-                if q:
-                    for row in w:
-                        row[j] -= q * row[t]
-            nonzero = [(w[i][t], i, t) for i in range(t + 1, nrows) if w[i][t]]
-            nonzero += [(w[t][j], t, j) for j in range(t + 1, ncols) if w[t][j]]
-            if not nonzero:
-                for i in range(t + 1, nrows):
-                    if any(x % p for x in w[i][t + 1:ncols]):
-                        w[t] = [x + y for x, y in zip(w[t], w[i])]
-                        nonzero = [(p, t, t)]
-                        break
-
-    u = _unchecked(tuple(tuple(row[ncols:]) for row in w[:nrows]))
-    d = _unchecked(tuple(tuple(row[:ncols]) for row in w[:nrows]))
-    return u, d, _unchecked(tuple(tuple(row[:ncols]) for row in w[nrows:]))

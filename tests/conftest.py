@@ -5,8 +5,9 @@ determinants by cofactor expansion, Pfaffians by the 4x4 combinatorial
 formula and by Parlett-Reid elimination over the rationals, quivers by
 the literal three-step truncation, kernels / cokernels over Z/q by
 explicit enumeration of the map on (Z/q)^k, the unipotent inverse and
-theorem matrix by their dense definitions over plain lists, and Smith
-divisors by extended gcds modulo |det|.
+theorem matrix by their dense definitions over plain lists, the
+closed-form family by a fresh sum per entry, and Smith divisors by
+extended gcds modulo |det|.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import itertools
 from collections import defaultdict
 from fractions import Fraction
-from math import gcd, prod
+from math import comb, gcd, prod
 
 import numpy as np
 
@@ -170,6 +171,24 @@ def reference_theorem_matrix(c: IntMatrix, d: int) -> IntMatrix:
             for i, row in enumerate(c.entries)
         ]
     )
+
+
+def family_matrix_direct(d: int) -> list[list[int]]:
+    """The closed-form family matrix with each entry a fresh sum, O(d^3).
+
+    X[i][j] = +-m_e - sum_(0<r<min(i, j)) m_r * m_(e+r) for 1-based i, j,
+    e = |i - j| and m_r the multiset numbers, the sign + for i >= j; then
+    M = s * X - Id with s = (-1)**(d-1).
+    """
+    sign = 1 if d % 2 == 1 else -1
+    ms = [comb(d + r - 1, r) for r in range(d - 1)]
+
+    def x(i, j):
+        if i < j:
+            return -sum(a * b for a, b in zip(ms[:i], ms[j - i:]))
+        return ms[i - j] - sum(a * b for a, b in zip(ms[1:j], ms[i - j + 1:]))
+
+    return [[sign * x(i, j) - (i == j) for j in range(1, d)] for i in range(1, d)]
 
 
 def random_int_matrix(rng, rows: int, cols: int, bound: int) -> IntMatrix:

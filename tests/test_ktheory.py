@@ -45,6 +45,7 @@ from ksing import (
 from conftest import (
     all_valid_params,
     divisors_by_extended_gcds,
+    family_matrix_direct,
     mod_q_annihilator_counts,
     predicted_annihilator_counts,
     reference_theorem_matrix,
@@ -332,6 +333,12 @@ class TestFamilyClosedForm:
         want = [[entry(i, j) for j in range(1, d)] for i in range(1, d)]
         assert family_matrix_closed_form(d).to_lists() == want
 
+    def test_running_sums_match_a_fresh_sum_per_entry(self):
+        # The library keeps one running sum per diagonal; the oracle sums
+        # each entry afresh.
+        for d in range(3, 41):
+            assert family_matrix_closed_form(d).to_lists() == family_matrix_direct(d)
+
 
 class TestCorollaryAnalysis:
     def test_conclusion_i_fires_on_nonvanishing(self):
@@ -369,6 +376,13 @@ class TestVerifyPaper:
         assert report.computed_det_is_square
         assert not report.agree
         assert len(report.entry_diffs) == 8
+        ref, got = report.reference_matrix, report.computed_matrix
+        assert report.entry_diffs == tuple(
+            (i + 1, j + 1, ref[i, j], got[i, j])
+            for i in range(4)
+            for j in range(4)
+            if ref[i, j] != got[i, j]
+        )
         # nothing was silently patched on either side
         assert report.reference_matrix == LOW_DIM_PRINTED_MATRIX
         assert report.computed_matrix == pipeline_matrix(LOW_DIM_PARAMS)
@@ -382,9 +396,16 @@ class TestVerifyPaper:
         )
 
     def test_family_larger_d_is_computed_not_assumed(self):
-        for d in (4, 5, 6):
+        for d in (4, 5, 6, 11):
             report = verify_paper("family", d)
             assert report.agree == (not report.entry_diffs)
+            ref, got = report.reference_matrix.entries, report.computed_matrix.entries
+            assert report.entry_diffs == tuple(
+                (i + 1, j + 1, ref[i][j], got[i][j])
+                for i in range(d - 1)
+                for j in range(d - 1)
+                if ref[i][j] != got[i][j]
+            )
             assert report.reference_matrix == family_matrix_closed_form(d)
             assert report.computed_matrix == pipeline_matrix(
                 validate_params(d, d, (1,) * d)

@@ -301,6 +301,22 @@ class TestTrustBoundary:
                 seen.add(id(obj))
                 todo.extend(gc.get_referents(obj))
 
+    def test_the_solved_inverse_column_is_not_checked_again(self, monkeypatch):
+        # The inverse's column is solved from the checked column of C, so it
+        # is recorded as it is, not passed through lower_toeplitz's checks.
+        c = cartan_matrix(path_counts_gf(validate_params(61, 3, (1, 1, 59))))
+
+        def refuse(col):
+            raise AssertionError("lower_toeplitz was called")
+
+        monkeypatch.setattr(IntMatrix, "lower_toeplitz", refuse)
+        inverse = unipotent_inverse(c)
+        m = theorem_matrix(c, 3)
+        monkeypatch.undo()
+        assert type(inverse.first_column) is tuple
+        assert inverse == reference_inverse(IntMatrix(c.entries))
+        assert m == reference_theorem_matrix(c, 3)
+
     @pytest.mark.parametrize("corner", [0, 2, -1])
     def test_recorded_column_rejects_as_the_rows_do(self, corner):
         toeplitz = IntMatrix.lower_toeplitz([corner, 3, 1])

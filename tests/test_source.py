@@ -2,13 +2,19 @@
 
 import ast
 import doctest
+import hashlib
 import importlib
+import inspect
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import ksing
+import ksing.cli
 
 SOURCE = Path(ksing.__file__).resolve().parent
 
@@ -26,13 +32,17 @@ def test_library_has_no_assert_statements():
 
 
 def test_docstring_examples_pass():
-    results = [
-        doctest.testmod(importlib.import_module(f"ksing.{path.stem}"))
-        for path in sorted(SOURCE.glob("*.py"))
-        if path.stem != "__init__"
-    ] + [doctest.testmod(ksing)]
-    assert sum(r.failed for r in results) == 0
-    assert sum(r.attempted for r in results) >= 5
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SOURCE.glob("*.py"))}
+    results = {
+        stem: doctest.testmod(
+            ksing if stem == "__init__" else importlib.import_module(f"ksing.{stem}")
+        )
+        for stem in sources
+    }
+    assert sum(r.failed for r in results.values()) == 0
+    assert sum(r.attempted for r in results.values()) >= 5
+    # Each module's examples run as its own, the verification module's too.
+    assert [s for s, text in sources.items() if ">>>" in text and not results[s].attempted] == []
 
 
 def test_all_names_resolve_once_in_sorted_order():
@@ -165,3 +175,128 @@ def test_import_leaves_json_out():
     # Only the quiver's JSON export and import need json; ksing.cli loads
     # it for its own output.
     assert _loaded_by_import("json", "ksing") == "False"
+
+
+@pytest.mark.parametrize("module", ["ksing.quiver", "ksing.verification"])
+def test_import_leaves_the_quiver_and_the_verification_code_out(module):
+    # No compute or sweep answer runs them; without bytecode caching every
+    # process would compile them.
+    assert _loaded_by_import(module, "ksing") == "False"
+
+
+@pytest.mark.parametrize("module", ["json", "csv", "ksing.quiver", "ksing.verification"])
+def test_cli_import_leaves_what_only_some_commands_need_out(module):
+    # json serves --format json, csv the sweep, the quiver and the
+    # verification code the quiver, cartan --check-bruteforce, snf and
+    # verify-paper commands.
+    assert _loaded_by_import(module, "ksing.cli") == "False"
+
+
+#: Signature and the first 16 hex digits of the docstring's SHA-256, as they
+#: were before the move, of each name that moved to a module loaded on first
+#: use and of each function perfbench's tracer wraps on a layer.
+PINNED = {
+    ("params", "validate_params"): ("(n, d, weights) -> 'QuotientParams'", "036f507f3fd64b04"),
+    ("params", "iter_weight_tuples"): (
+        "(n: 'int', d: 'int') -> 'Iterator[tuple[int, ...]]'", "e57920089fc81066"
+    ),
+    ("cartan", "path_counts_gf"): ("(params: 'QuotientParams') -> 'list[int]'", "3ea58ad787bbb2e8"),
+    ("cartan", "cartan_matrix"): ("(counts: 'list[int]') -> 'IntMatrix'", "0ae117130f6ce77d"),
+    ("linalg", "smith_normal_form"): ("(m: 'IntMatrix') -> 'tuple[int, ...]'", "3b1e908edef201b5"),
+    ("linalg", "unipotent_inverse"): ("(m: 'IntMatrix') -> 'IntMatrix'", "2f4bc995475a2b01"),
+    ("linalg", "theorem_matrix"): ("(c: 'IntMatrix', d: 'int') -> 'IntMatrix'", "716b6a44c3b98de6"),
+    ("linalg", "determinant"): ("(m: 'IntMatrix') -> 'int'", "0d5e24957521e586"),
+    ("ktheory", "pipeline_matrix"): ("(params: 'QuotientParams') -> 'IntMatrix'", "8aab5987b5759d3e"),
+    ("ktheory", "compute_ktheory"): (
+        "(params: 'QuotientParams', coeff: 'PrimePower', source: 'str' = 'theorem-pipeline')"
+        " -> 'KTheoryReport'",
+        "5f132ec583050464",
+    ),
+    ("quiver", "build_quiver"): ("(params: 'QuotientParams') -> 'Quiver'", "979994513c28fa0c"),
+    ("quiver", "export_quiver"): ("(q: 'Quiver', format: 'str') -> 'str'", "bb23e7e2c36c4ca8"),
+    ("quiver", "quiver_from_json"): ("(text: 'str') -> 'Quiver'", "9b0a644cc2d212c7"),
+    ("cartan", "path_counts_bruteforce"): (
+        "(q: 'Quiver', cap: 'int' = 10000000) -> 'list[int]'", "cd737603a562cc0a"
+    ),
+    ("linalg", "pfaffian"): ("(m: 'IntMatrix') -> 'int'", "7ecd26b2818086c6"),
+    ("linalg", "smith_certificate"): (
+        "(m: 'IntMatrix') -> 'tuple[IntMatrix, IntMatrix, IntMatrix]'", "9370d5860855c327"
+    ),
+    ("ktheory", "verify_paper"): (
+        "(fixture: 'str', d: 'Optional[int]' = None) -> 'VerificationReport'", "64e4f1e7647f288f"
+    ),
+    ("ktheory", "family_matrix_closed_form"): ("(d: 'int') -> 'IntMatrix'", "d20a79edbcabfd31"),
+    ("ktheory", "multiset_number"): ("(d: 'int', r: 'int') -> 'int'", "fa8555d25d8b44b5"),
+    ("ktheory", "mod_q_kernel_cokernel"): (
+        "(m: 'IntMatrix', q: 'int') -> 'tuple[FiniteAbelianGroup, FiniteAbelianGroup]'",
+        "94dc1f47b61eb4bb",
+    ),
+    ("ktheory", "corollary_analysis"): (
+        "(report: 'KTheoryReport', integral_hints=None) -> 'tuple[CorollaryNote, ...]'",
+        "f6fb205af831a6c6",
+    ),
+}
+
+
+def test_each_traced_name_is_one_object_on_its_layer_and_the_package():
+    # perfbench's tracer wraps every binding of these functions that is the
+    # object it finds on the layer, so a second object under one of the
+    # names (a forwarding stub, say) would escape it.
+    layers = runpy.run_path(str(SOURCE.parents[1] / "perfbench" / "tracer.py"))["LAYERS"]
+    for layer, names in layers.items():
+        module = importlib.import_module(f"ksing.{layer}")
+        for name in names:
+            fn = getattr(module, name)
+            assert fn.__module__ in (module.__name__, "ksing.verification"), name
+            assert getattr(sys.modules[fn.__module__], name) is fn
+            if layer != "cli":
+                assert getattr(ksing, name) is fn, name
+    assert {(layer, name) for layer, names in layers.items() for name in names} - {
+        ("cli", "main")
+    } <= set(PINNED)
+
+
+@pytest.mark.parametrize("layer, name", sorted(PINNED))
+def test_traced_and_moved_names_keep_their_docstring_and_signature(layer, name):
+    fn = getattr(importlib.import_module(f"ksing.{layer}"), name)
+    assert fn is getattr(ksing, name)
+    signature, digest = PINNED[layer, name]
+    assert str(inspect.signature(fn)) == signature
+    assert hashlib.sha256(fn.__doc__.encode()).hexdigest()[:16] == digest
+
+
+def test_verification_report_keeps_its_fields_and_docstring():
+    report = ksing.ktheory.VerificationReport
+    assert report is ksing.VerificationReport is ksing.verification.VerificationReport
+    assert hashlib.sha256(report.__doc__.encode()).hexdigest()[:16] == "d0613fde5b818cae"
+    assert report._fields == (
+        "fixture", "params", "reference_matrix", "computed_matrix", "agree", "entry_diffs",
+        "reference_det", "computed_det", "pfaffian", "computed_det_is_square", "notes",
+    )
+
+
+def test_internal_callers_read_the_binding_on_their_module(monkeypatch, capsys):
+    # A wrapper set on a name bound on first use is what the library calls.
+    calls = []
+
+    def recording(module, name):
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, **k: calls.append(name) or original(*a, **k))
+
+    for module, name in (  # cli first, so that it wraps the library's own
+        (ksing.cli, "build_quiver"),
+        (ksing.cli, "export_quiver"),
+        (ksing.cli, "smith_certificate"),
+        (ksing.linalg, "smith_certificate"),
+        (ksing.ktheory, "family_matrix_closed_form"),
+    ):
+        recording(module, name)
+    assert ksing.smith_normal_form(ksing.IntMatrix([[2, 4], [1, 2]])) == (1, 0)
+    ksing.matrix_from_source(ksing.validate_params(4, 4, (1,) * 4), "closed-form-family")
+    args = ["--n", "5", "--d", "3", "--weights", "1,2,2"]
+    assert ksing.cli.main(["quiver", *args]) == ksing.cli.main(["snf", *args]) == 0
+    capsys.readouterr()
+    assert calls == [
+        "smith_certificate", "family_matrix_closed_form", "build_quiver", "export_quiver",
+        "smith_certificate",
+    ]

@@ -6,8 +6,9 @@ matching weight sum.  The number of classes from i to i + s therefore does
 not depend on i and equals the coefficient of t**s in the power series
 prod_j 1 / (1 - t**a_j).  Two independent routes give these numbers:
 exact series expansion, here, and a dynamic program over the quiver's
-arrows that collects each vertex's letter multisets, path_counts_bruteforce,
-which lives in ksing.verification and is bound here on first use.
+arrows that collects each vertex's letter multisets, each held as one
+integer whose digits count the letters, path_counts_bruteforce, which lives
+in ksing.verification and is bound here on first use.
 """
 
 from __future__ import annotations

@@ -381,8 +381,9 @@ def _sweep_rows(
     """The sweep's rows in _SWEEP_COLUMNS order, one per (set, coefficient),
     each yielded as soon as its report is computed.
 
-    M does not depend on the coefficient, so its determinant is taken once
-    per set (see _det_m); the groups are computed per coefficient.
+    M and its divisors do not depend on the coefficient, so the determinant
+    (see _det_m) and the divisor text are made once per set; the groups are
+    computed per coefficient, one group for both parities.
     """
     for params in sets:
         weights = ",".join(map(str, params.weights))
@@ -391,6 +392,9 @@ def _sweep_rows(
             report = ktheory.compute_ktheory(params, coeff, source)
             if det is None:
                 det = _det_m(params, source, report.matrix)
+                divisors = ",".join(map(str, report.divisors))
+            group = report.even_group
+            text = str(group)
             yield (
                 params.n,
                 params.d,
@@ -400,10 +404,10 @@ def _sweep_rows(
                 coeff.q,
                 source,
                 det,
-                ",".join(map(str, report.divisors)),
-                str(report.even_group),
-                str(report.odd_group),
-                report.even_group.is_trivial and report.odd_group.is_trivial,
+                divisors,
+                text,
+                text,
+                group.is_trivial,
                 report.corollary_notes[0].conclusion,
             )
 

@@ -194,7 +194,14 @@ class KTheoryReport(NamedTuple):
 
 
 def _groups_from_divisors(divisors, q: int) -> FiniteAbelianGroup:
-    return FiniteAbelianGroup.from_orders(math.gcd(di, q) for di in divisors)
+    """The direct sum of the Z/gcd(d_i, q), for ``divisors`` a Smith chain.
+
+    The chain must be nonnegative, each nonzero entry dividing the next, with
+    zeros last, as smith_normal_form and pipeline_divisors return it.  Then
+    each gcd(d_i, q) divides the next and gcd(0, q) = q comes last, so the
+    gcds above 1 are already the invariant factors, in order.
+    """
+    return FiniteAbelianGroup(tuple([g for di in divisors if (g := math.gcd(di, q)) > 1]))
 
 
 def pipeline_matrix(params: QuotientParams) -> IntMatrix:

@@ -6,8 +6,8 @@ formula and by Parlett-Reid elimination over the rationals, quivers by
 the literal three-step truncation, kernels / cokernels over Z/q by
 explicit enumeration of the map on (Z/q)^k, the unipotent inverse and
 theorem matrix by their dense definitions over plain lists, the
-closed-form family by a fresh sum per entry, and Smith divisors by
-extended gcds modulo |det|.
+closed-form family by a fresh sum per entry, Smith divisors by
+extended gcds modulo |det|, and path classes by sorted letter tuples.
 """
 
 from __future__ import annotations
@@ -19,7 +19,14 @@ from math import comb, gcd, prod
 
 import numpy as np
 
-from ksing import IntMatrix, QuotientParams, iter_weight_tuples
+from ksing import (
+    InputError,
+    IntMatrix,
+    NotHomogeneous,
+    PathExplosion,
+    QuotientParams,
+    iter_weight_tuples,
+)
 
 
 def all_valid_params(max_n: int, max_d: int | None = None) -> list[QuotientParams]:
@@ -69,6 +76,50 @@ def three_step_quiver(params: QuotientParams):
                 if side1 and side2:
                     relations.add((i, j, jp))
     return arrows, relations
+
+
+def path_counts_sorted_tuples(q, cap: int = 10_000_000) -> list[int]:
+    """Path-class counts with each class a sorted tuple of its letters.
+
+    An oracle for ksing.path_counts_bruteforce, which holds a class as one
+    integer: the same walk over the arrows in order of target, the same
+    checks and the same messages.
+    """
+    if cap < 0:
+        raise InputError(f"raw path cap must be nonnegative, got {cap}")
+    if q.vertex_count < 1:
+        raise InputError("quiver has no vertices")
+    if any(not 1 <= source < target <= q.vertex_count for source, target, _ in q.arrows):
+        raise InputError(f"arrows must go up within vertices 1..{q.vertex_count}")
+    arrows = sorted(q.arrows, key=lambda a: a.target)
+
+    raw = 0
+    per_start: dict[int, dict[int, int]] = {}
+    for start in range(1, q.vertex_count + 1):
+        paths = {start: 1}
+        classes: dict[int, set[tuple[int, ...]]] = {start: {()}}
+        for source, target, letter in arrows:
+            if source in paths:
+                raw += paths[source]
+                if raw > cap:
+                    raise PathExplosion(
+                        f"more than {cap} raw paths; raise the cap to continue"
+                    )
+                paths[target] = paths.get(target, 0) + paths[source]
+                classes.setdefault(target, set()).update(
+                    tuple(sorted(c + (letter,))) for c in classes[source]
+                )
+        per_start[start] = {v - start: len(cls) for v, cls in classes.items()}
+
+    base = per_start[1]
+    for start in range(2, q.vertex_count + 1):
+        for off in range(q.vertex_count - start + 1):
+            if per_start[start].get(off, 0) != base.get(off, 0):
+                raise NotHomogeneous(
+                    f"path count from {start} at offset {off} differs from"
+                    f" vertex 1"
+                )
+    return [base.get(s, 0) for s in range(q.vertex_count)]
 
 
 def laplace_det(rows) -> int:

@@ -21,7 +21,7 @@ from ksing import (
     validate_params,
 )
 
-from conftest import all_valid_params, identity
+from conftest import all_valid_params, identity, path_counts_sorted_tuples
 
 
 def test_gf_low_dim_example():
@@ -135,6 +135,57 @@ def test_oracle_equivalence_small():
         gf = path_counts_gf(params)
         brute = path_counts_bruteforce(build_quiver(params))
         assert gf == brute, params
+
+
+def _outcome(route, q, cap):
+    """The counts, or the type and message of what the route raised."""
+    try:
+        return route(q, cap)
+    except InputError as exc:
+        return type(exc), str(exc)
+
+
+def _relabel(q, letters):
+    return q._replace(arrows=tuple(a._replace(letter=letters[a.letter]) for a in q.arrows))
+
+
+def _agreement_quivers():
+    yield from (build_quiver(p) for p in all_valid_params(10))
+    yield build_quiver(validate_params(25, 3, (1, 12, 12)))
+    # Letters need not be 1..d: 0, negative and far apart are still letters.
+    for params in [validate_params(7, 3, (1, 3, 3)), validate_params(9, 4, (1, 1, 2, 5))]:
+        q = build_quiver(params)
+        yield _relabel(q, {1: 0, 2: -3, 3: 10**40, 4: -(10**25)})
+        yield _relabel(q, {1: -1, 2: 0, 3: 1, 4: 2**64})
+    yield Quiver(3, (Arrow(1, 2, 0),), ())  # not homogeneous
+    yield Quiver(3, (Arrow(2, 1, -1),), ())  # goes down
+    yield Quiver(0, (), ())
+
+
+@pytest.mark.parametrize("cap", [10_000_000, 40])
+def test_integer_classes_agree_with_sorted_letter_tuples(cap):
+    # Same counts or the same refusal, including where a cap of 40 stops
+    # most of the quivers part way through the walk.
+    outcomes = [
+        (_outcome(path_counts_bruteforce, q, cap), _outcome(path_counts_sorted_tuples, q, cap))
+        for q in _agreement_quivers()
+    ]
+    assert [i for i, (got, want) in enumerate(outcomes) if got != want] == []
+    assert {type(got) for got, _ in outcomes} == {list, tuple}
+
+
+@pytest.mark.parametrize("v", [2, 3, 4, 9, 17])
+def test_a_one_letter_chain_fills_its_digit_without_carrying(v):
+    # The path along the chain 1 -> ... -> v holds v - 1 of letter 0, the
+    # arrow 1 -> v one of letter 1.  With letter 0 on digit B**0 and letter
+    # 1 on B**1 they stay two classes only if B exceeds v - 1.  The chain is
+    # listed first and last, so that letter 0 takes digit B**0 whether the
+    # letters are numbered by first appearance or by value.
+    chain = tuple(Arrow(i, i + 1, 0) for i in range(1, v))
+    for arrows in (chain + (Arrow(1, v, 1),), (Arrow(1, v, 1),) + chain):
+        q = Quiver(v, arrows, ())
+        assert path_counts_bruteforce(q)[-1] == 2
+        assert path_counts_bruteforce(q) == path_counts_sorted_tuples(q)
 
 
 def raw_paths_by_cell(quiver):

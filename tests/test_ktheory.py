@@ -149,6 +149,46 @@ def test_from_orders_matches_prime_bucketing(orders):
     assert prod(factors) == prod(orders)
 
 
+def _gcd_orders(divisors, q):
+    return FiniteAbelianGroup.from_orders(gcd(di, q) for di in divisors)
+
+
+def test_groups_from_a_divisor_chain_match_from_orders():
+    # Every (n, d) of the grid, the unit-weight family and the few-weight
+    # sets, at prime powers and at moduli with several primes.
+    pairs = {(n, d) for n in range(2, 13) for d in range(2, n + 1)}
+    pairs |= {(n, n) for n in range(3, 21)} | {(n, d) for n, d, _ in WIDE_SETS}
+    chains = [pipeline_divisors(n, d) for n, d in sorted(pairs)]
+    moduli = [2, 3, 4, 5, 7, 8, 9, 11, 13, 25, 27, 47, 49, 6, 12, 30, 60, 210, 2310]
+    mismatches = [
+        (chain, q)
+        for chain in chains
+        for q in moduli
+        for divisors in (chain, chain[chain.count(1):])
+        if ksing.ktheory._groups_from_divisors(divisors, q) != _gcd_orders(divisors, q)
+    ]
+    assert mismatches == []
+    # Chains whose last divisor has several primes, such as n = 6, are in.
+    assert sum(len({p for p in (2, 3, 5, 7) if c[-1] % p == 0}) > 1 for c in chains) > 10
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(0, 3),
+    st.lists(st.integers(1, 40), max_size=6),
+    st.integers(0, 3),
+    st.integers(2, 5000),
+)
+def test_groups_from_smith_diagonals_ending_in_zeros_match_from_orders(ones, steps, nulls, q):
+    chain = [1] * ones
+    for step in steps:
+        chain.append((chain[-1] if chain else 1) * step)
+    chain += [0] * nulls
+    got = ksing.ktheory._groups_from_divisors(tuple(chain), q)
+    assert got == _gcd_orders(chain, q)
+    assert type(got) is FiniteAbelianGroup
+
+
 class TestModQKernelCokernel:
     def test_multiplication_by_two_on_z4(self):
         ker, coker = mod_q_kernel_cokernel(IntMatrix([[-2]]), 4)

@@ -216,7 +216,7 @@ PINNED = {
     ("quiver", "export_quiver"): ("(q: 'Quiver', format: 'str') -> 'str'", "bb23e7e2c36c4ca8"),
     ("quiver", "quiver_from_json"): ("(text: 'str') -> 'Quiver'", "9b0a644cc2d212c7"),
     ("cartan", "path_counts_bruteforce"): (
-        "(q: 'Quiver', cap: 'int' = 10000000) -> 'list[int]'", "cd737603a562cc0a"
+        "(q: 'Quiver', cap: 'int' = 10000000) -> 'list[int]'", "fa2311781ecd4cf7"
     ),
     ("linalg", "pfaffian"): ("(m: 'IntMatrix') -> 'int'", "7ecd26b2818086c6"),
     ("linalg", "smith_certificate"): (

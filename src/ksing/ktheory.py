@@ -5,9 +5,9 @@ The groups in nonnegative even (resp. odd) degree are the cokernel
 acting on (Z/q)**(n-1); all negative-degree groups vanish.  Kernel and
 cokernel are read off the integral Smith normal form: both are isomorphic
 to the direct sum of Z/gcd(d_i, q) over the divisors d_i (gcd(0, q) = q).
-The divisors of the pipeline matrix depend only on (n, d) and come from a
-(d-1)x(d-1) Toeplitz matrix, or from one small block per prime dividing n
-(``pipeline_divisors``).
+The divisors of the pipeline matrix depend only on (n, d): a closed form
+gives the part of each prime l <= d - 1 dividing n, and the content of a
+(d-1)x(d-1) Toeplitz matrix the rest (``pipeline_divisors``).
 
 Besides the quiver pipeline, M can be taken from the closed-form family
 matrices for n = d with all weights 1, or from the immutable reference
@@ -26,7 +26,6 @@ import sys
 from typing import NamedTuple, Optional
 
 from .cartan import cartan_matrix, path_counts_gf
-from . import linalg
 from .errors import InputError
 from .linalg import IntMatrix, smith_normal_form, theorem_matrix
 from .params import PrimePower, QuotientParams, validate_params
@@ -218,8 +217,7 @@ def pipeline_divisors(n: int, d: int) -> tuple[int, ...]:
     diagonal is n and det G = n**(d-1).  The divisors of M are n - d ones
     followed by the divisors of G: coker M = Z[y]/(y**(d-1), g_n(y)),
     whatever the weights are.  With D = diag((-1)**i), D G D is the
-    Toeplitz matrix of the C(n, i + 1), with the same divisors; matrices of
-    that form are the ones eliminated below.
+    Toeplitz matrix of the C(n, i + 1), with the same divisors, as (h) uses.
 
     Proof sketch.  Write k = n - 1, s = (-1)**(d-1), f(t) = prod_j
     (1 - t**a_j) = sum_i c_i t**i and N_m for the m x m lower shift, so
@@ -248,10 +246,8 @@ def pipeline_divisors(n: int, d: int) -> tuple[int, ...]:
 
     Prime by prime.  With m = d - 1, trial division by p <= m, while p * p
     is at most the rest, splits n into the q = l**v || n with l <= m and a
-    rest N with no prime up to m.  A q with v = 1 takes the closed form of
-    (i); one with v >= 2 a block eliminated modulo l**E, see (j): that of
-    (g) where q <= m, else G(q, d) of (f).  N (a prime n, say) takes
-    G(N, d); see (h).
+    rest N with no prime up to m.  A q takes the closed form of (k), of
+    which (i) is the case v = 1; N (a prime n, say) takes G(N, d); see (h).
 
     (f) g_n(y) = prod Phi_e(1 - y) over the divisors e > 1 of n, and in
         Z_l[y]/(y**m) an element is a unit exactly when its constant term
@@ -261,12 +257,6 @@ def pipeline_divisors(n: int, d: int) -> tuple[int, ...]:
         det G(q, d) = q**m.  So coker G(n, d) is the direct sum of the
         coker G(q, d), of coprime orders, and with each chain of m divisors
         ascending, the divisors of G are their entry-by-entry products.
-    (g) The coefficient of y**(q-1) in g_q is (-1)**(q-1) C(q, q) = +-1, so
-        Z[y]/(g_q) is free on 1, y, ..., y**(q-2), and Z[y]/(y**m, g_q) is
-        the cokernel of multiplication by y**m there: the block whose row
-        i holds the coefficients of y**(m+i) mod g_q (_companion_block).
-        Its cokernel is generated by 1, ..., y**(m-1), so for q - 1 <= m
-        its q - 1 divisors, after m - q + 1 ones, are those of G(q, d).
     (h) For a prime l | N and 0 < j <= m < l, j C(N, j) = N C(N-1, j-1), so
         G(N, d) is N times a unipotent matrix: its divisors are m copies of
         N, its content, which smith_normal_form reads off its first column.
@@ -278,14 +268,45 @@ def pipeline_divisors(n: int, d: int) -> tuple[int, ...]:
         for O = Z_l[zeta_l], free on 1, ..., y**(l-2); with
         m = a (l - 1) + r, y**m is a unit times l**a y**r, so the l - 1
         divisors are l - 1 - r copies of l**a, then r of l**(a+1).
-    (j) By (i), l**ceil(m / phi(l**i)) lies in (y**m, Phi_(l**i)(1 - y)),
-        and the product over i <= v of these ideals lies in (y**m, g_q).
-        So l**E, E = sum_(i<=v) ceil(m / phi(l**i)), kills coker G(q, d):
-        it is a multiple of the last divisor, the modulus _divisors_mod
-        needs, and no determinant is taken.
+    (k) The l-part is the sum of the Z/l**e(i, j) over the levels
+        i = 1..v and the slots j < phi(l**i) with m - j >= l**(i-1), where
+        e(i, j) = v - i + 1 + floor((m - j - l**(i-1)) / phi(l**i)).  A
+        level holds at most two e.  A level i + 1 needs m >= l**i, and then
+        its largest e, v - i + floor((m - l**i) / phi(l**(i+1))), is below
+        the least of level i, v - i + 1 + floor((m - l**i + 1) / phi(l**i)):
+        the levels from v down to 1, each ascending, give the chain.
+        Proof, by induction on v.  The l-part is A_v / y**m A_v for
+        A_v = Z_l[y]/(g_(l**v)), A_0 = 0, so its e are fixed by L_v(t), the
+        length of A_v / (y**m, l**t): L_v(t) - L_v(t-1) of them are >= t.
+        Let phi = phi(l**v), P = Phi_(l**v)(1 - y), O = Z_l[y]/(P) as in
+        (i), and B = A_(v-1), local with maximal ideal (l, y) and of rank
+        c = l**(v-1) - 1.  As P = Phi_l(x**(l**(v-1))) and
+        x**(l**(v-1)) - 1 = -y g_(l**(v-1)), P = l in B; as P = y**phi mod
+        l, P = eps y**phi + l h(y), eps = +-1, h(0) = 1, so y**phi =
+        eps l (1 - h) in B and l = -eps y**phi / h in O.  With
+        g_(l**(v-1)) = y**c mod l, A_v is the fibre product of B and O over
+        B/lB = O/y**c O = F_l[y]/(y**c), of index l**c in B x O.  For t >= 1,
+        (y**m, l**t) A_v maps onto y**min(m, t phi) O with kernel W x 0, so
+        L_v(t) = min(m, t phi) - c + len B/W.  If t phi >= m,
+        y**m (w, z) + l**t (w', z'), both pairs in A_v, lies in W x 0 iff
+        z = -u z' for u = (-eps)**t y**(t phi - m) h**-t; then w = -u w'
+        mod l, with h**-t cut mod y**c, and l**t - y**m u =
+        l**t (1 - (h - 1)**t h**-t) in B, l**t times a unit, so
+        W = l (l**(t-1), y**m) B and L_v(t) = m + L_(v-1)(t - 1).  If
+        t phi < m, w' = -u w mod l for u = (-eps)**t y**(m - t phi) h**t,
+        and y**m - l**t u = (eps l)**t y**(m - t phi) ((1 - h)**t - (-h)**t)
+        in B, the bracket a unit, so W = l**t (l, y**(m - t phi)) B and
+        L_v(t) = t c + min(m - c, t phi).  The e(i, j) obey the same
+        recursion: level v, that of O/y**(m - c) O, adds min(m - c, t phi)
+        if m > c, and the min(m, c) e below it, those of v - 1 plus one, add
+        min(m, c) + L_(v-1)(t - 1), or t c if t phi < m, as then each
+        e(i, j) >= 2 + floor((t phi - c) / phi(l**(v-1))) >= t l, since
+        c < 2 phi(l**(v-1)).
 
     >>> pipeline_divisors(5, 3)
     (1, 1, 5, 5)
+    >>> pipeline_divisors(16, 16)
+    (2, 2, 2, 2, 2, 2, 2, 2, 16, 16, 16, 16, 512, 512, 262144)
     """
     n = operator.index(n)
     d = operator.index(d)
@@ -306,44 +327,22 @@ def pipeline_divisors(n: int, d: int) -> tuple[int, ...]:
         parts.append((rest, 1))
     chain = None
     for l, v in parts:
-        q = l**v
-        if l > m:  # q is N, see (h)
+        if l > m:  # l is N, see (h)
             block = smith_normal_form(
-                IntMatrix.lower_toeplitz([math.comb(q, i) for i in range(1, d)])
+                IntMatrix.lower_toeplitz([math.comb(l, i) for i in range(1, d)])
             )
-        elif v == 1:  # (i)
+        else:  # (k): level 1 is (i) raised by v - 1; levels 2..v go before it
             a, r = divmod(m, l - 1)
-            block = (l**a,) * (l - 1 - r) + (l ** (a + 1),) * r
-        else:  # (j), on (g) or on D G(q, d) D, see the statement
-            if q <= m:
-                rows = _companion_block(q, m)
-            else:
-                g = [math.comb(q, i) for i in range(1, d)]
-                rows = IntMatrix.lower_toeplitz(g).entries
-            e = sum(-(-m // ((l - 1) * l**i)) for i in range(v))
-            block = linalg._divisors_mod(rows, l**e)
+            block = (l ** (a + v - 1),) * (l - 1 - r) + (l ** (a + v),) * r
+            c, s = l, v - 2  # c = l**(i-1) and s = v - i at level i
+            while s >= 0 and c <= m:
+                a, r = divmod(m - c + 1, c * (l - 1))
+                low = (l ** (s + a),) * (c * (l - 1) - r) if a else ()
+                block = low + (l ** (s + a + 1),) * r + block
+                c, s = c * l, s - 1
         block = (1,) * (m - len(block)) + block
         chain = block if chain is None else tuple(map(operator.mul, chain, block))
     return (1,) * (n - d) + chain
-
-
-def _companion_block(q: int, m: int) -> tuple[tuple[int, ...], ...]:
-    """Row i holds the coefficients of y**(m + i) mod g_q, for i < q - 1.
-
-    g_q has leading coefficient (-1)**(q-1) at y**(q-1), so y**(q-1) is
-    sum_j (-1)**(q+j) C(q, j + 1) y**j modulo g_q; see pipeline_divisors (g).
-    """
-    top = [(-1) ** (q + j) * math.comb(q, j + 1) for j in range(q - 1)]
-    r = [1] + [0] * (q - 2)
-    rows = []
-    for k in range(1, m + q - 1):
-        t = r[-1]
-        r = [0] + r[:-1]
-        if t:
-            r = [x + t * c for x, c in zip(r, top)]
-        if k >= m:
-            rows.append(tuple(r))
-    return tuple(rows)
 
 
 def pipeline_determinant(n: int, d: int) -> int:

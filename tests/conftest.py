@@ -7,7 +7,8 @@ the literal three-step truncation, kernels / cokernels over Z/q by
 explicit enumeration of the map on (Z/q)^k, the unipotent inverse and
 theorem matrix by their dense definitions over plain lists, the
 closed-form family by a fresh sum per entry, Smith divisors by
-extended gcds modulo |det|, and path classes by sorted letter tuples.
+extended gcds modulo |det| and by ksing.linalg._divisors_mod modulo a
+proven power of l, and path classes by sorted letter tuples.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from math import comb, gcd, prod
 
 import numpy as np
 
+import ksing.linalg
 from ksing import (
     InputError,
     IntMatrix,
@@ -339,6 +341,57 @@ def divisors_by_extended_gcds(a: tuple[tuple[int, ...], ...], r: int) -> tuple[i
         out.append(g)
         r //= g
     return tuple(out)
+
+
+def proven_exponent(l: int, v: int, m: int) -> int:
+    """E = sum over i <= v of ceil(m / phi(l**i)).
+
+    Modulo Phi_(l**i)(1 - y), y is a uniformizer of Z_l[zeta_(l**i)] and l
+    a unit times y**phi(l**i), so l**ceil(m / phi(l**i)) lies in
+    (y**m, Phi_(l**i)(1 - y)); the product over i <= v of these ideals lies
+    in (y**m, g_q) for q = l**v.  So l**E kills Z_l[y]/(y**m, g_q), and it
+    is a multiple of the last divisor of G(q, m + 1).
+    """
+    return sum(-(-m // (l**i - l ** (i - 1))) for i in range(1, v + 1))
+
+
+def companion_block(q: int, m: int) -> tuple[tuple[int, ...], ...]:
+    """Row i holds the coefficients of y**(m + i) mod g_q, for i < q - 1.
+
+    g_q has leading coefficient (-1)**(q-1) at y**(q-1), so Z[y]/(g_q) is
+    free on 1, ..., y**(q-2), with y**(q-1) = sum_j (-1)**(q+j) C(q, j + 1)
+    y**j there.  Z[y]/(y**m, g_q) is the cokernel of multiplication by y**m
+    on it, this block; for q - 1 <= m its q - 1 divisors, after m - q + 1
+    ones, are those of G(q, m + 1).
+    """
+    top = [(-1) ** (q + j) * comb(q, j + 1) for j in range(q - 1)]
+    r = [1] + [0] * (q - 2)
+    rows = []
+    for k in range(1, m + q - 1):
+        t = r[-1]
+        r = [0] + r[:-1]
+        if t:
+            r = [x + t * c for x, c in zip(r, top)]
+        if k >= m:
+            rows.append(tuple(r))
+    return tuple(rows)
+
+
+def divisors_modulo_l_e(l: int, v: int, d: int) -> tuple[int, ...]:
+    """The d - 1 divisors of G(l**v, d), by _divisors_mod modulo l**E.
+
+    The block is companion_block where q = l**v <= d - 1, else the Toeplitz
+    matrix of the C(q, i), i < d, which has the divisors of G(q, d).  Each
+    call is one ksing.linalg._divisors_mod, looked up on the module.
+    """
+    q, m = l**v, d - 1
+    if q <= m:
+        rows = companion_block(q, m)
+    else:
+        g = [comb(q, i) for i in range(1, d)]
+        rows = tuple(tuple(g[i - j] if j <= i else 0 for j in range(m)) for i in range(m))
+    block = ksing.linalg._divisors_mod(rows, l ** proven_exponent(l, v, m))
+    return (1,) * (m - len(block)) + block
 
 
 def divisors_of(q: int) -> list[int]:

@@ -4,7 +4,7 @@ import gc
 import itertools
 import json
 import pickle
-from math import comb, gcd, prod
+from math import comb, gcd, isqrt, prod
 
 import pytest
 from hypothesis import assume, given, settings
@@ -45,9 +45,11 @@ from ksing import (
 from conftest import (
     all_valid_params,
     divisors_by_extended_gcds,
+    divisors_modulo_l_e,
     family_matrix_direct,
     mod_q_annihilator_counts,
     predicted_annihilator_counts,
+    proven_exponent,
     reference_theorem_matrix,
     zeros,
 )
@@ -672,7 +674,7 @@ def _divisors_of_g_by_extended_gcds(n, d):
 
 
 def test_prime_by_prime_route_matches_the_smith_form_of_g():
-    # pipeline_divisors, one part per prime power (proof (f)-(j)), against
+    # pipeline_divisors, one part per prime power (proof (f)-(k)), against
     # the extended-gcd elimination of all of G, which it never runs.
     checked = 0
     for n in range(2, 41):
@@ -683,16 +685,12 @@ def test_prime_by_prime_route_matches_the_smith_form_of_g():
     assert checked == 780
 
 
-def _proven_exponent(l, v, m):
-    """E = sum over i <= v of ceil(m / phi(l**i)), proof step (j)."""
-    return sum(-(-m // (l**i - l ** (i - 1))) for i in range(1, v + 1))
-
-
 def test_pipeline_divisors_eliminate_only_modulo_prime_powers(monkeypatch):
-    # Only the parts q = l**v with v >= 2 and l <= d - 1 are eliminated, each
-    # once, modulo l**E (proof (j)); v = 1 takes the closed form (i) and the
-    # rest N its content (h).  So _divisors_mod pivots on entries prime to l
-    # and never takes its combination step.
+    # pipeline_divisors eliminates nothing: a part q = l**v with l <= d - 1
+    # is the closed form (k), at v = 1 that of (i), and the rest N its
+    # content (h).  The oracle divisors_modulo_l_e eliminates each part with
+    # v >= 2 once, modulo l**E, pivoting on entries prime to l, and gives
+    # the same l-part.
     divisors_mod = ksing.linalg._divisors_mod
     moduli = []
 
@@ -702,34 +700,120 @@ def test_pipeline_divisors_eliminate_only_modulo_prime_powers(monkeypatch):
 
     monkeypatch.setattr(ksing.linalg, "_divisors_mod", recording)
     pairs = [(n, d) for n in range(2, 61) for d in range(2, n + 1)]
-    want = []
-    for n, d in pairs + [(202, 100), (58, 29), (240, 240)]:
-        divisors = pipeline_divisors(n, d)
+    pairs += [(202, 100), (58, 29), (240, 240)]
+    chains = {}
+    for n, d in pairs:
+        chains[n, d] = divisors = pipeline_divisors(n, d)
         assert prod(divisors) == n ** (d - 1), (n, d)
-        want += [
-            l ** _proven_exponent(l, v, d - 1)
-            for l, v in _prime_power_parts(n).items()
-            if v >= 2 and l < d
-        ]
+    assert moduli == []
+    want = []
+    for n, d in pairs:
+        for l, v in _prime_power_parts(n).items():
+            if v >= 2 and l < d:
+                want.append(l ** proven_exponent(l, v, d - 1))
+                l_part = [_l_part(x, l) for x in chains[n, d][n - d:]]
+                assert l_part == list(divisors_modulo_l_e(l, v, d)), (n, d, l)
     assert moduli == want
     assert len(moduli) == 729
+
+
+def _slot_exponents(l, v, m):
+    """e(i, j) = v - i + 1 + floor((m - j - l**(i-1)) / phi(l**i)), slot by
+    slot over the slots j < phi(l**i) with m - j >= l**(i-1), listed from
+    level i = v down to 1, each level from its last slot to its first."""
+    out = []
+    for i in range(v, 0, -1):
+        phi = l**i - l ** (i - 1)
+        out += [
+            v - i + 1 + (m - j - l ** (i - 1)) // phi
+            for j in reversed(range(phi))
+            if m - j >= l ** (i - 1)
+        ]
+    return out
+
+
+def _chain(l, exponents, m):
+    """The m divisors with these exponents of l, after ones."""
+    return (1,) * (m - len(exponents)) + tuple(l**e for e in exponents)
 
 
 PRIME_POWERS_TO_64 = (4, 8, 16, 32, 64, 9, 27, 25, 49)
 
 
 def test_l_part_at_v_at_least_2_matches_the_smith_form_of_g():
-    # The l**E route (proof (j)) against the extended-gcd elimination of all
-    # of G(q, d), and the last divisor against the proven bound l**E.
+    # The closed form (k) against both oracles on all of G(q, d), d <= q:
+    # the extended-gcd elimination and the elimination modulo l**E, whose
+    # modulus is checked against the last divisor; and the formula, slot
+    # by slot, against them.  Its list ascends as it stands.
     checked = 0
     for q in PRIME_POWERS_TO_64:
         (l, v), = _prime_power_parts(q).items()
         for d in range(2, q + 1):
-            divisors = pipeline_divisors(q, d)
-            assert divisors == (1,) * (q - d) + _divisors_of_g_by_extended_gcds(q, d), (q, d)
-            assert l ** _proven_exponent(l, v, d - 1) % divisors[-1] == 0, (q, d)
+            want = _divisors_of_g_by_extended_gcds(q, d)
+            assert pipeline_divisors(q, d) == (1,) * (q - d) + want, (q, d)
+            assert divisors_modulo_l_e(l, v, d) == want, (q, d)
+            assert l ** proven_exponent(l, v, d - 1) % want[-1] == 0, (q, d)
+            exponents = _slot_exponents(l, v, d - 1)
+            assert exponents == sorted(exponents), (q, d)
+            assert _chain(l, exponents, d - 1) == want, (q, d)
             checked += 1
     assert checked == 225
+
+
+def _least_prime_above(m):
+    p = m + 1
+    while any(p % k == 0 for k in range(2, isqrt(p) + 1)):
+        p += 1
+    return p
+
+
+def test_l_part_at_v_at_least_2_above_q_matches_the_modular_oracle():
+    # m = d - 1 from q to 3q, 5q + 3 and 8q, through n = q P for the least
+    # prime P > m, so that l <= m: the oracle eliminates the companion
+    # block of y**m on Z[y]/(g_q) modulo l**E.
+    checked = 0
+    for q in PRIME_POWERS_TO_64:
+        (l, v), = _prime_power_parts(q).items()
+        for m in [*range(q, 3 * q + 1), 5 * q + 3, 8 * q]:
+            n, d = q * _least_prime_above(m), m + 1
+            want = divisors_modulo_l_e(l, v, d)
+            l_part = tuple(_l_part(x, l) for x in pipeline_divisors(n, d)[n - d:])
+            assert l_part == want, (q, m)
+            assert _chain(l, _slot_exponents(l, v, m), m) == want, (q, m)
+            checked += 1
+    assert checked == 495
+
+
+def _valuation(x, l):
+    """The exponent of l in x != 0, by repeated squaring of the divisor."""
+    e = 0
+    while x % l == 0:
+        p, k = l, 1
+        while x % (p * p) == 0:
+            p, k = p * p, 2 * k
+        x //= p
+        e += k
+    return e
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_l_part_at_v_at_least_2_counts_sums_and_ascends(data):
+    # Past the oracles: q = l**v <= 5000 and m < 3q, at n = q s for a prime
+    # s != l with q s > m, or s = 1.  Modulo l, g_q is y**(q-1) times a
+    # unit, so there are min(m, q - 1) summands; det G(q, d) = q**m, so
+    # their exponents sum to v m; and the chain ascends.
+    l = data.draw(st.sampled_from((2, 3, 5, 7, 11)), label="l")
+    v = data.draw(st.integers(2, max(v for v in range(2, 13) if l**v <= 5000)), label="v")
+    q = l**v
+    m = data.draw(st.integers(1, 3 * q - 1), label="m")
+    s = 1 if q > m else next(p for p in (2, 3, 5) if p != l and q * p > m)
+    n, d = q * s, m + 1
+    exponents = [e for x in pipeline_divisors(n, d)[n - d:] if (e := _valuation(x, l))]
+    assert len(exponents) == min(m, q - 1)
+    assert sum(exponents) == v * m
+    assert exponents == sorted(exponents)
+    assert exponents == _slot_exponents(l, v, m)
 
 
 def test_pipeline_report_leaves_the_rows_of_m_unbuilt():
@@ -855,12 +939,13 @@ def _check_reach(n, d):
         assert sum(1 for x in divisors if x % l == 0) == min(l**v - 1, d - 1), l
 
 
-@pytest.mark.parametrize("n", [81, 120, 128, 210, 240])
+@pytest.mark.parametrize("n", [81, 120, 128, 210, 240, 256, 343, 512, 729, 1024])
 def test_pipeline_divisors_reach_n_equals_d_in_the_hundreds(n):
-    # Eliminating all of G(n, n) took 0.5 s to 10 s at 120, 210 and 240 on a
-    # 2-vCPU Xeon; one small block per prime power takes 2 to 15 ms.  At 81
-    # and 128, G(n, n) itself modulo 3**E or 2**E took 20 ms and 0.16 s.
-    # These checks hold whichever route produced the divisors.
+    # On a 2-vCPU Xeon, eliminating each part with v >= 2 modulo l**E took
+    # 18 ms at 81, 0.17 s at 128, 2.8 s at 256, 0.84 s at 343 and over a
+    # minute at 512; the closed form (k) takes under 0.05 ms at each n here.
+    # These checks, the summand count and the exponent sum among them, hold
+    # whichever route produced the divisors.
     _check_reach(n, n)
 
 

@@ -223,23 +223,22 @@ class TestTrustBoundary:
     """Entries are checked where they come in, and only there."""
 
     def test_pipeline_entries_are_ints(self, monkeypatch):
-        # Also the blocks pipeline_divisors builds: G(N, d) for
-        # smith_normal_form, and the rows it hands _divisors_mod.
-        gs, blocks = [], []
-        snf, divisors_mod = ksing.ktheory.smith_normal_form, ksing.linalg._divisors_mod
+        # Also the only blocks pipeline_divisors builds, G(N, d) for
+        # smith_normal_form; it hands no rows to _divisors_mod.
+        gs = []
+        snf = ksing.ktheory.smith_normal_form
 
         def recording_snf(m):
             gs.append(m)
             return snf(m)
 
-        def recording_divisors_mod(a, r):
-            blocks.append(a)
-            return divisors_mod(a, r)
+        def no_elimination(a, r):
+            raise AssertionError("_divisors_mod called")
 
         monkeypatch.setattr(ksing.ktheory, "smith_normal_form", recording_snf)
-        monkeypatch.setattr(ksing.linalg, "_divisors_mod", recording_divisors_mod)
+        monkeypatch.setattr(ksing.linalg, "_divisors_mod", no_elimination)
         sets = all_valid_params(12) + [validate_params(*s) for s in FAMILY_AND_WIDE_SETS]
-        recorded = [0, 0]
+        recorded = 0
         for params in sets:
             c = cartan_matrix(path_counts_gf(params))
             pipeline_divisors(params.n, params.d)
@@ -247,15 +246,9 @@ class TestTrustBoundary:
                 assert type(m.entries) is tuple
                 assert all(type(row) is tuple for row in m.entries)
                 assert all(type(x) is int for row in m.entries for x in row)
-            for a in blocks:
-                assert type(a) is tuple
-                assert all(type(row) is tuple for row in a)
-                assert all(type(x) is int for row in a for x in row)
-            recorded[0] += len(gs)
-            recorded[1] += len(blocks)
+            recorded += len(gs)
             gs.clear()
-            blocks.clear()
-        assert recorded == [1164, 160]
+        assert recorded == 1164
 
     def test_rebuilt_toeplitz_is_refused(self):
         # The same rows without the recorded column: no second route.
@@ -684,9 +677,9 @@ def test_modular_divisors_match_the_certificate_and_extended_gcds(
     # as in the last three examples: diag(2, 3), diag(6, 10, 15) and the
     # diagonal of the first 60 primes, where each of the 59 divisors 1
     # needs the combination step.  The modulus may also be any multiple
-    # (last divisor) * l**t, as for ktheory.pipeline_divisors's l**E; the
-    # last two examples are unimodular with r = 4 and 3, so the block
-    # empties while r > 1, as ((1,),) with r = 4 does.
+    # (last divisor) * l**t, as for the l**E of the test oracle
+    # divisors_modulo_l_e; the last two examples are unimodular with r = 4
+    # and 3, so the block empties while r > 1, as ((1,),) with r = 4 does.
     rng = random.Random(seed)
     k = len(exponents)
     diagonal = [l**e * c for e, c in zip(exponents, cofactors)]

@@ -7,11 +7,37 @@ verification mode that reports discrepancies between the two.  The result
 types (QuotientParams, KTheoryReport, ...) are immutable named tuples.
 
 The quiver and the verification code, which no ``compute`` or ``sweep``
-answer runs, load on first use: ``_LATE`` names the module that binds each
-of their names, and PEP 562's module ``__getattr__`` reads it from there.
+answer runs, load on first use.  ``_LATE`` maps each of their names to its
+home module.  The PEP 562 ``__getattr__`` of the package, ``linalg``,
+``cartan``, ``ktheory`` and ``cli`` passes a name to ``_bind``, which binds it
+there from its home: one object under every name.  Internal callers read a
+late name through ``sys.modules[__name__]``, so a wrapper set there is called.
 """
 
 import importlib as _importlib
+
+#: Each late name and its home; above the layer imports, which import ``_bind``.
+_LATE = {
+    **dict.fromkeys(
+        ("Arrow", "Quiver", "Relation", "build_quiver", "export_quiver", "quiver_from_json"),
+        "quiver",
+    ),
+    **dict.fromkeys(
+        ("VerificationReport", "corollary_analysis", "family_matrix_closed_form",
+         "mod_q_kernel_cokernel", "multiset_number", "path_counts_bruteforce", "pfaffian",
+         "smith_certificate", "verify_paper"),
+        "verification",
+    ),
+}
+
+
+def _bind(namespace: dict, name: str):
+    """Bind late ``name`` in a module's ``namespace`` from its home; return it."""
+    if name not in _LATE:
+        raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
+    value = namespace[name] = getattr(_importlib.import_module(f"{__name__}.{_LATE[name]}"), name)
+    return value
+
 
 from .cartan import NotHomogeneous, PathExplosion, cartan_matrix, path_counts_gf
 from .errors import InputError
@@ -25,7 +51,6 @@ from .ktheory import (
     FiniteAbelianGroup,
     KTheoryReport,
     SourceUnavailable,
-    _VERIFICATION_NAMES,
     compute_ktheory,
     matrix_from_source,
     pipeline_divisors,
@@ -56,27 +81,10 @@ from .params import (
     validate_prime_power,
 )
 
-#: Each name bound on first use, and the module it is read from: the layer
-#: that documents it, so that every binding of it is one object.
-_LATE = {
-    **dict.fromkeys(
-        ("Arrow", "Quiver", "Relation", "build_quiver", "export_quiver", "quiver_from_json"),
-        "quiver",
-    ),
-    **dict.fromkeys(("pfaffian", "smith_certificate"), "linalg"),
-    "path_counts_bruteforce": "cartan",
-    **dict.fromkeys(_VERIFICATION_NAMES, "ktheory"),
-}
-
-
 def __getattr__(name):
     if name in ("quiver", "verification"):
         return _importlib.import_module(f"{__name__}.{name}")  # binds it here too
-    if name not in _LATE:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    layer = _importlib.import_module(f"{__name__}.{_LATE[name]}")
-    value = globals()[name] = getattr(layer, name)
-    return value
+    return _bind(globals(), name)
 
 
 __version__ = "0.1.0"

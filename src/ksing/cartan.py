@@ -7,25 +7,20 @@ not depend on i and equals the coefficient of t**s in the power series
 prod_j 1 / (1 - t**a_j).  Two independent routes give these numbers:
 exact series expansion, here, and a dynamic program over the quiver's
 arrows that collects each vertex's letter multisets, each held as one
-integer whose digits count the letters, path_counts_bruteforce, which lives
-in ksing.verification and is bound here on first use.
+integer whose digits count the letters, path_counts_bruteforce, which loads
+on first use.
 """
 
 from __future__ import annotations
 
+from . import _bind
 from .errors import InputError
 from .linalg import IntMatrix
 from .params import QuotientParams
 
 
 def __getattr__(name):
-    # PEP 562, as in linalg.
-    if name != "path_counts_bruteforce":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import verification
-
-    value = globals()[name] = verification.path_counts_bruteforce
-    return value
+    return _bind(globals(), name)
 
 
 class PathExplosion(InputError):

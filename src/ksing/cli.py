@@ -15,7 +15,7 @@ import sys
 from collections.abc import Iterator
 from itertools import chain
 
-from . import ktheory
+from . import _bind, ktheory
 from .cartan import cartan_matrix, path_counts_gf
 from .errors import InputError
 from .linalg import determinant
@@ -29,17 +29,10 @@ from .params import (
     validate_prime_power,
 )
 
-#: What only ``quiver``, ``cartan --check-bruteforce`` and ``snf`` run.
-#: Commands read them through sys.modules[__name__]: a binding set on this
-#: module wins, else __getattr__ binds the package's on first use.
-_LATE = ("build_quiver", "export_quiver", "path_counts_bruteforce", "smith_certificate")
-
-
+# build_quiver, export_quiver, path_counts_bruteforce and smith_certificate,
+# run by ``quiver``, ``cartan --check-bruteforce`` and ``snf``, load on first use.
 def __getattr__(name):
-    if name not in _LATE:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = getattr(sys.modules[__package__], name)
-    return value
+    return _bind(globals(), name)
 
 
 class RangeTooLarge(InputError):

@@ -14,8 +14,8 @@ matrices for n = d with all weights 1, or from the immutable reference
 matrix shipped for (n, d, a) = (5, 3, (1, 2, 2)) exactly as printed in the
 original published computation.  ``verify_paper`` compares those sources
 against the pipeline and reports agreement or a structured discrepancy;
-it never reconciles them silently.  It, the closed form and the other
-checks live in ksing.verification and are bound here on first use.
+it never reconciles them silently.  It, VerificationReport, the closed form,
+mod_q_kernel_cokernel and corollary_analysis load on first use.
 """
 
 from __future__ import annotations
@@ -25,30 +25,15 @@ import operator
 import sys
 from typing import NamedTuple, Optional
 
+from . import _bind
 from .cartan import cartan_matrix, path_counts_gf
 from .errors import InputError
 from .linalg import IntMatrix, smith_normal_form, theorem_matrix
-from .params import PrimePower, QuotientParams, validate_params
-
-_VERIFICATION_NAMES = (
-    "VerificationReport",
-    "corollary_analysis",
-    "family_matrix_closed_form",
-    "mod_q_kernel_cokernel",
-    "multiset_number",
-    "verify_paper",
-)
+from .params import PrimePower, QuotientParams, validate_params, validate_prime_power
 
 
 def __getattr__(name):
-    # PEP 562, as in linalg: internal callers read these through
-    # sys.modules[__name__], so a wrapper set here is called.
-    if name not in _VERIFICATION_NAMES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import verification
-
-    value = globals()[name] = getattr(verification, name)
-    return value
+    return _bind(globals(), name)
 
 
 class SourceUnavailable(InputError):
@@ -170,8 +155,6 @@ class KTheoryReport(NamedTuple):
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "KTheoryReport":
-        from .params import validate_prime_power
-
         p = payload["params"]
         c = payload["coefficient"]
         return cls(

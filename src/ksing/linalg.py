@@ -27,7 +27,7 @@ over Z, the content c of the block left divided out, then elimination over
 Z/r for a multiple r of the last divisor (Storjohann 2000).
 smith_certificate returns U, D, V from an elimination over Z whose entries
 are not bounded; ``ksing snf`` runs it alone and prints the diagonal of D.
-It and pfaffian live in ksing.verification and are bound here on first use.
+It and pfaffian load on first use.
 """
 
 from __future__ import annotations
@@ -36,16 +36,11 @@ import math
 import operator
 import sys
 
+from . import _bind
+
 
 def __getattr__(name):
-    # PEP 562: called only for a name not bound here.  Internal callers read
-    # these through sys.modules[__name__], so a wrapper set here is called.
-    if name not in ("pfaffian", "smith_certificate"):
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import verification
-
-    value = globals()[name] = getattr(verification, name)
-    return value
+    return _bind(globals(), name)
 
 
 class NotUnipotent(ValueError):

@@ -3,9 +3,7 @@
 Here are ``linalg``'s Pfaffian and Smith certificate, ``cartan``'s
 brute-force path counts, and ``ktheory``'s closed-form family, mod-q kernel
 and cokernel, corollary notes and ``verify_paper``.  ``import ksing`` does
-not load this module.  Each name is bound, on first use, on the layer module
-that documents it and on the package, by a PEP 562 module ``__getattr__``:
-one object under every name.
+not load this module: its names load on first use.
 
 >>> import ksing, ksing.linalg
 >>> ksing.pfaffian is ksing.linalg.pfaffian is pfaffian
@@ -24,6 +22,9 @@ from .ktheory import (
     LOW_DIM_PARAMS,
     LOW_DIM_PRINTED_DET,
     LOW_DIM_PRINTED_MATRIX,
+    CorollaryNote,
+    FiniteAbelianGroup,
+    KTheoryReport,
     _corollary_notes,
     _groups_from_divisors,
     pipeline_matrix,

@@ -9,6 +9,7 @@ import os
 import runpy
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import pytest
@@ -300,3 +301,66 @@ def test_internal_callers_read_the_binding_on_their_module(monkeypatch, capsys):
         "smith_certificate", "family_matrix_closed_form", "build_quiver", "export_quiver",
         "smith_certificate",
     ]
+
+
+def _library_functions():
+    """Each function in ``ksing.__all__`` and each method written in a class
+    there (not those ``typing.NamedTuple`` generates), by qualified name."""
+    for name in ksing.__all__:
+        obj = getattr(ksing, name)
+        members = vars(obj).values() if inspect.isclass(obj) else [obj]
+        for member in members:
+            fn = getattr(member, "__func__", getattr(member, "fget", member))
+            if inspect.isfunction(fn) and fn.__module__.startswith("ksing."):
+                yield fn.__qualname__, fn
+
+
+def test_type_hints_of_every_public_function_resolve():
+    # path_counts_bruteforce names Quiver, which ksing.verification does not
+    # import: loading ksing.quiver with the verification code would cost
+    # every verify_paper call about a millisecond of compiling.
+    unresolved = {"path_counts_bruteforce"}
+    found = set()
+    for qualname, fn in _library_functions():
+        try:
+            typing.get_type_hints(fn)
+        except NameError:
+            found.add(qualname)
+    assert found == unresolved
+
+
+@pytest.mark.parametrize(
+    "read, home, other",
+    [
+        ("ksing.linalg.pfaffian", "ksing.verification", "ksing.quiver"),
+        ("ksing.cli.build_quiver", "ksing.quiver", "ksing.verification"),
+    ],
+)
+def test_each_late_name_loads_its_home_alone(read, home, other):
+    # The read runs after the imports, in the same fresh process.
+    assert _loaded_by_import(home, f"ksing.cli; {read}") == "True"
+    assert _loaded_by_import(other, f"ksing.cli; {read}") == "False"
+
+
+@pytest.mark.parametrize(
+    "module", ["ksing", "ksing.linalg", "ksing.cartan", "ksing.ktheory", "ksing.cli"]
+)
+def test_an_unknown_name_raises_attribute_error_naming_its_module(module):
+    # perfbench's tracer probes with getattr(module, name, None).
+    mod = importlib.import_module(module)
+    with pytest.raises(AttributeError, match=f"module {module!r} has no attribute 'no_such_name'"):
+        mod.no_such_name
+    assert not hasattr(mod, "no_such_name")
+
+
+def test_only_the_package_lists_what_loads_on_first_use():
+    # Every other module-level __getattr__ is one statement, a call of
+    # ksing._bind, so no list of late names drifts back into the layers.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SOURCE.glob("*.py"))
+        if path.name != "__init__.py"
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.FunctionDef) and node.name == "__getattr__" and len(node.body) > 1
+    ]
+    assert found == []

@@ -22,9 +22,9 @@ rows on the first read of ``entries``: M's where ``ksing compute`` and
 never in ``ksing sweep``; those of C^-1 are never read.
 
 Two eliminations give the Smith form.  smith_normal_form returns the
-divisors of a square nonsingular matrix with bounded entries: +-1 pivots
-over Z, the content c of the block left divided out, then elimination over
-Z/r for a multiple r of the last divisor (Storjohann 2000).
+divisors of a square nonsingular matrix with bounded entries: its content
+c divided out, then elimination over Z/r for r = |det| / c**k, a multiple
+of the last divisor (Storjohann 2000).
 smith_certificate returns U, D, V from an elimination over Z whose entries
 are not bounded; ``ksing snf`` runs it alone and prints the diagonal of D.
 It and pfaffian load on first use.
@@ -286,74 +286,30 @@ def determinant(m: IntMatrix) -> int:
 def smith_normal_form(m: IntMatrix) -> tuple[int, ...]:
     """Smith divisors of m: the diagonal of D in smith_certificate(m).
 
-    For square nonsingular m the divisors come from four steps whose
-    entries stay bounded: unimodular eliminations on +-1 pivots over Z
-    (each contributes a divisor 1), R = |det| of the k x k block A that
-    remains (see determinant), its content c, and _divisors_mod, the
-    elimination of A / c over Z/r for r = R / c**k.  As SNF(c * B) =
-    c * SNF(B), each divisor of A is c times one of A / c, and r = 1 needs
-    none.  A lower-Toeplitz m with no +-1 entry is A itself, with R and c
-    read off its first column, so G(N, d) of ktheory.pipeline_divisors builds
-    no row.  A singular or non-square m takes the diagonal of
+    For square nonsingular m the divisors come from three steps whose
+    entries stay bounded: R = |det m| (see determinant), the content c of
+    m, and _divisors_mod, the elimination of m / c over Z/r for
+    r = R / c**k.  As SNF(c * B) = c * SNF(B), each divisor of m is c times
+    one of m / c, and r = 1 needs no elimination.  A lower-Toeplitz m gives
+    R and c from its first column, so G(N, d) of ktheory.pipeline_divisors
+    builds no row.  A singular or non-square m takes the diagonal of
     smith_certificate, with the trailing zero divisors (gcd(0, q) = q).
 
     >>> smith_normal_form(IntMatrix([[2, 0], [0, 3]]))
     (1, 6)
     """
     if m.is_square:
-        col = m.first_column  # if recorded, it holds every nonzero entry of m
-        a = m if col and 1 not in col and -1 not in col else _unchecked(_unit_pivot_block(m))
-        k = a.rows
-        ones = (1,) * (m.rows - k)
-        if not k:
-            return ones
-        r = abs(determinant(a))
+        r = abs(determinant(m))
         if r:
-            c = math.gcd(*(a.first_column or [x for row in a.entries for x in row]))
+            k = m.rows
+            c = math.gcd(*(m.first_column or [x for row in m.entries for x in row]))
             r //= c**k
             if r == 1:
-                return ones + (c,) * k
-            b = a.entries if c == 1 else tuple(tuple(x // c for x in row) for row in a.entries)
-            return ones + tuple(c * x for x in _divisors_mod(b, r))
+                return (c,) * k
+            b = m.entries if c == 1 else tuple(tuple(x // c for x in row) for row in m.entries)
+            return tuple(c * x for x in _divisors_mod(b, r))
     d = sys.modules[__name__].smith_certificate(m)[1]
     return tuple(d[i, i] for i in range(min(m.rows, m.cols)))
-
-
-def _unit_pivot_block(m: IntMatrix) -> tuple[tuple[int, ...], ...]:
-    """Eliminate +-1 pivots of a square m; return the dense block left.
-
-    Each step pivots on a +-1 entry of the shortest row that holds one,
-    which keeps fill-in low, clears its column by walking the other rows
-    and drops its row and column, until no +-1 entry is left.  With every
-    pivot a unit, the block left is a Schur complement whose entries are
-    minors of m, so they stay within the Hadamard bound.  An m without a
-    +-1 entry is the block.
-    """
-    if not any(1 in row or -1 in row for row in m.entries):
-        return m.entries
-    rows = {i: {j: x for j, x in enumerate(row) if x} for i, row in enumerate(m.entries)}
-    left = set(range(m.cols))
-    while True:
-        by_length = sorted(rows, key=lambda i: len(rows[i]))
-        units = ((i, j) for i in by_length for j, x in rows[i].items() if x == 1 or x == -1)
-        pivot = next(units, None)
-        if pivot is None:
-            break
-        i, j = pivot
-        pivot_row = rows.pop(i)
-        s = pivot_row.pop(j)
-        left.discard(j)
-        for row in rows.values():
-            f = row.pop(j, 0) * s
-            if f:
-                for c, x in pivot_row.items():
-                    y = row.get(c, 0) - f * x
-                    if y:
-                        row[c] = y
-                    else:
-                        del row[c]
-    order = sorted(left)
-    return tuple(tuple(rows[i].get(j, 0) for j in order) for i in sorted(rows))
 
 
 def _divisors_mod(a: tuple[tuple[int, ...], ...], r: int) -> tuple[int, ...]:

@@ -150,6 +150,19 @@ def test_cartan_with_bruteforce_check(capsys):
     assert "brute-force enumeration agrees: yes" in out
 
 
+@pytest.mark.parametrize("check", [False, True], ids=["plain", "bruteforce"])
+def test_cartan_json(capsys, check):
+    argv = ["cartan", "--n", "5", "--d", "3", "--weights", "1,2,2", "--format", "json"]
+    code, out, err = run_cli(capsys, *argv, *["--check-bruteforce"] * check)
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["schema_version"] == 1
+    assert payload["params"] == {"n": 5, "d": 3, "weights": [1, 2, 2]}
+    assert payload["path_counts"] == [1, 1, 3, 3]
+    assert payload["cartan_matrix"] == [[1, 0, 0, 0], [1, 1, 0, 0], [3, 1, 1, 0], [3, 3, 1, 1]]
+    assert payload.get("bruteforce_agrees", "absent") == (True if check else "absent")
+
+
 def test_cartan_bruteforce_cap_exit_2(capsys):
     code, _, err = run_cli(
         capsys, "cartan", "--n", "8", "--d", "8", "--weights", "1,1,1,1,1,1,1,1",
@@ -733,3 +746,27 @@ def test_missing_params_exit_2(capsys):
     code, _, err = run_cli(capsys, "compute", "--prime", "3")
     assert code == 2
     assert "required" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ("compute", "--n", "5", "--d", "3", "--weights", "1,x,2", "--prime", "2"),
+            "InputError: cannot parse weights '1,x,2'",
+        ),
+        (
+            ("compute", "--n", "5", "--d", "3", "--weights", "1,2,2"),
+            "InputError: --prime is required here",
+        ),
+        (
+            ("sweep", "--n", "2-a", "--primes", "2"),
+            "InputError: cannot parse integer list entry '2-a'",
+        ),
+    ],
+    ids=["weights", "prime", "int-list"],
+)
+def test_unparsable_or_missing_arguments_exit_2(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert message in err

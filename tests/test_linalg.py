@@ -15,6 +15,7 @@ from ksing import (
     OddSize,
     cartan_matrix,
     determinant,
+    family_matrix_closed_form,
     path_counts_gf,
     pfaffian,
     pipeline_divisors,
@@ -26,7 +27,6 @@ from ksing import (
     validate_params,
 )
 import ksing.linalg
-from ksing.linalg import _unit_pivot_block
 
 from conftest import (
     all_valid_params,
@@ -111,6 +111,21 @@ class TestIntMatrix:
             a @ a
         with pytest.raises(ValueError):
             a - IntMatrix([[1], [2]])
+
+    def test_operations_with_a_non_matrix_defer_to_python(self):
+        # Each returns NotImplemented, so == falls back to identity and the
+        # arithmetic raises TypeError instead of a shape error.
+        a = IntMatrix([[1]])
+        assert a.__eq__([[1]]) is NotImplemented
+        assert (a == [[1]]) is False and a != ((1,),)
+        with pytest.raises(TypeError):
+            a @ [[1]]
+        with pytest.raises(TypeError):
+            a - 1
+
+    def test_repr(self):
+        assert repr(IntMatrix([[1]])) == "IntMatrix([[1]])"
+        assert repr(IntMatrix.lower_toeplitz([2, -1])) == "IntMatrix([[2, 0], [-1, 2]])"
 
 
 class TestUnipotentInverse:
@@ -477,7 +492,6 @@ class TestLowerToeplitzDeterminant:
                     [(-1) ** i * math.comb(n, i + 1) for i in range(d - 1)]
                 )
                 assert determinant(g) == determinant(IntMatrix(g.entries)) == n ** (d - 1)
-                assert _unit_pivot_block(g) is g.entries
 
     def test_random_columns(self):
         rng = random.Random(53)
@@ -486,28 +500,7 @@ class TestLowerToeplitzDeterminant:
             t = IntMatrix.lower_toeplitz(col)
             plain = IntMatrix(t.entries)
             assert determinant(t) == determinant(plain)
-            assert _unit_pivot_block(t) == _unit_pivot_block(plain)
             assert smith_normal_form(t) == smith_normal_form(plain)
-
-
-class TestUnitPivotBlock:
-    """The +-1 elimination leaves a block with no unit entry and the same
-    |det| as the matrix it started from."""
-
-    @staticmethod
-    def assert_block(m):
-        block = _unit_pivot_block(m)
-        assert not any(x in (1, -1) for row in block for x in row)
-        r = abs(determinant(IntMatrix(block))) if block else 1
-        assert r == abs(determinant(m))
-
-    def test_grid(self):
-        for params in all_valid_params(12):
-            self.assert_block(pipeline_matrix(params))
-
-    @pytest.mark.parametrize("n", range(3, 29))
-    def test_family(self, n):
-        self.assert_block(pipeline_matrix(validate_params(n, n, (1,) * n)))
 
 
 class TestSmithNormalForm:
@@ -580,6 +573,22 @@ class TestSmithNormalForm:
         d = smith_certificate(m)[1]
         return tuple(d[i, i] for i in range(m.rows))
 
+    def test_family_closed_form_matches_extended_gcds(self):
+        # The general route serves the family and fixture sources; the
+        # family's |det| reaches 333 digits at d = 40.  d = 4 is singular,
+        # so the certificate gives its divisors.
+        for d in range(3, 41):
+            m = family_matrix_closed_form(d)
+            got = smith_normal_form(m)
+            r = abs(determinant(m))
+            if d == 4:
+                assert r == 0 and got == (2, 2, 0) == self.certificate_diagonal(m)
+                continue
+            assert r, d
+            assert got == divisors_by_extended_gcds(m.entries, r), d
+            assert math.prod(got) == r
+            assert all(b % a == 0 for a, b in zip(got, got[1:])), d
+
     def test_content_scales_the_divisors(self):
         # SNF(c * A) = c * SNF(A); both sides also against the certificate.
         rng = random.Random(61)
@@ -610,12 +619,9 @@ class TestSmithNormalForm:
 
         monkeypatch.setattr(ksing.linalg, "_divisors_mod", no_elimination)
         rng = random.Random(67)
-        # [[2, 3], [3, 5]] is unimodular with no +-1 entry, so its block is
-        # not empty; the identity and most products of shears leave none.
         inputs = [identity(k) for k in range(1, 6)]
         inputs += [random_unimodular(rng, rng.randint(1, 6)) for _ in range(40)]
         inputs.append(IntMatrix([[2, 3], [3, 5]]))
-        assert _unit_pivot_block(inputs[0]) == ()
         for m in inputs:
             assert smith_normal_form(m) == (1,) * m.rows
 

@@ -149,14 +149,18 @@ def test_cartan_matrix_and_its_inverse_record_their_first_column():
     assert inverse.entries[3] == (2, -2, -1, 1)
 
 
-def _loaded_by_import(module: str, imports: str = "ksing, ksing.cli") -> str:
-    """What ``module in sys.modules`` prints after ``import <imports>``."""
-    code = f"import sys, {imports}; print({module!r} in sys.modules)"
+def _fresh_output(code: str) -> str:
+    """What ``python -c code`` prints, stripped, in a fresh process."""
     env = {**os.environ, "PYTHONPATH": str(SOURCE.parent)}
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
     return out.strip()
+
+
+def _loaded_by_import(module: str, imports: str = "ksing, ksing.cli") -> str:
+    """What ``module in sys.modules`` prints after ``import <imports>``."""
+    return _fresh_output(f"import sys, {imports}; print({module!r} in sys.modules)")
 
 
 def test_cli_import_leaves_multiprocessing_out():
@@ -185,6 +189,20 @@ def test_import_leaves_the_quiver_and_the_verification_code_out(module):
     assert _loaded_by_import(module, "ksing") == "False"
 
 
+@pytest.mark.parametrize(
+    "module, name", [("quiver", "build_quiver"), ("verification", "verify_paper")]
+)
+def test_the_package_loads_a_late_module_on_first_read(module, name):
+    # Unbound after ``import ksing``, the module is read through the
+    # package's __getattr__, which imports it and binds it on the package.
+    code = (
+        f"import sys, ksing; unbound = {module!r} not in vars(ksing); mod = ksing.{module}; "
+        f"print(unbound, mod is sys.modules['ksing.{module}'] is ksing.{module},"
+        f" mod.{name} is ksing.{name})"
+    )
+    assert _fresh_output(code) == "True True True"
+
+
 @pytest.mark.parametrize("module", ["json", "csv", "ksing.quiver", "ksing.verification"])
 def test_cli_import_leaves_what_only_some_commands_need_out(module):
     # json serves --format json, csv the sweep, the quiver and the
@@ -203,7 +221,7 @@ PINNED = {
     ),
     ("cartan", "path_counts_gf"): ("(params: 'QuotientParams') -> 'list[int]'", "3ea58ad787bbb2e8"),
     ("cartan", "cartan_matrix"): ("(counts: 'list[int]') -> 'IntMatrix'", "0ae117130f6ce77d"),
-    ("linalg", "smith_normal_form"): ("(m: 'IntMatrix') -> 'tuple[int, ...]'", "3b1e908edef201b5"),
+    ("linalg", "smith_normal_form"): ("(m: 'IntMatrix') -> 'tuple[int, ...]'", "3a579202dfa01260"),
     ("linalg", "unipotent_inverse"): ("(m: 'IntMatrix') -> 'IntMatrix'", "2f4bc995475a2b01"),
     ("linalg", "theorem_matrix"): ("(c: 'IntMatrix', d: 'int') -> 'IntMatrix'", "716b6a44c3b98de6"),
     ("linalg", "determinant"): ("(m: 'IntMatrix') -> 'int'", "0d5e24957521e586"),
@@ -363,4 +381,20 @@ def test_only_the_package_lists_what_loads_on_first_use():
         for node in ast.parse(path.read_text(encoding="utf-8")).body
         if isinstance(node, ast.FunctionDef) and node.name == "__getattr__" and len(node.body) > 1
     ]
+    assert found == []
+
+
+def test_no_test_module_imports_a_private_name_at_module_level():
+    # A private helper that goes away would knock the whole module out at
+    # collection; tests read one through its module at call time instead,
+    # as conftest does with ksing.linalg._divisors_mod.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(__file__).resolve().parent.glob("*.py"))
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.ImportFrom) and node.level == 0
+        and node.module.partition(".")[0] == "ksing"
+        and any(a.name.startswith("_") for a in node.names)
+    ]
+    assert len(list(Path(__file__).resolve().parent.glob("test_*.py"))) > 5
     assert found == []

@@ -207,7 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument("--primes", default="", help="comma-separated primes (may be empty)")
     sweep.add_argument("--exponent", type=int, default=1)
-    _add_source_flag(sweep)
     sweep.add_argument("--format", default="csv", choices=("csv", "json"))
     sweep.add_argument("--max-cells", type=int, default=20_000)
     return parser
@@ -368,24 +367,21 @@ _SWEEP_COLUMNS = (
 )
 
 
-def _sweep_rows(
-    sets: list[QuotientParams], coeffs: list[PrimePower], source: str
-) -> Iterator[tuple]:
+def _sweep_rows(sets: list[QuotientParams], coeffs: list[PrimePower]) -> Iterator[tuple]:
     """The sweep's rows in _SWEEP_COLUMNS order, one per (set, coefficient),
     each yielded as soon as its report is computed.
 
-    M and its divisors do not depend on the coefficient, so the determinant
-    (see _det_m) and the divisor text are made once per set; the groups are
+    M and its divisors do not depend on the coefficient, so the closed-form
+    determinant and the divisor text are made once per set; the groups are
     computed per coefficient, one group for both parities.
     """
     for params in sets:
         weights = ",".join(map(str, params.weights))
-        det = None
+        det = ktheory.pipeline_determinant(params.n, params.d)
+        divisors = None
         for coeff in coeffs:
-            report = ktheory.compute_ktheory(params, coeff, source)
-            if det is None:
-                det = _det_m(params, source, report.matrix)
-                divisors = ",".join(map(str, report.divisors))
+            report = ktheory.compute_ktheory(params, coeff)
+            divisors = divisors or ",".join(map(str, report.divisors))
             group = report.even_group
             text = str(group)
             yield (
@@ -395,7 +391,7 @@ def _sweep_rows(
                 coeff.l,
                 coeff.nu,
                 coeff.q,
-                source,
+                "theorem-pipeline",
                 det,
                 divisors,
                 text,
@@ -406,28 +402,17 @@ def _sweep_rows(
 
 
 def _sweep_params(args) -> Iterator[QuotientParams]:
-    """The sets the sweep prints, in (n, d, weights) order.
-
-    Sources other than the pipeline cover only n = d or the fixture's (n, d),
-    so no weights are drawn for other pairs.
-    """
+    """The sets the sweep prints, in (n, d, weights) order."""
     n_values = chain.from_iterable(_parse_int_list(args.n))
-    source = _SOURCE_BY_ALIAS[args.source]
     if args.weights_mode == "ones":
-        sets = (validate_params(n, n, (1,) * n) for n in n_values)
-    else:
-        d_ranges = _parse_int_list(args.d) if args.d else None
-        fixture = (ktheory.LOW_DIM_PARAMS.n, ktheory.LOW_DIM_PARAMS.d)
-        sets = (
-            QuotientParams(n, d, weights)
-            for n in n_values
-            for d in chain.from_iterable(
-                d_ranges if d_ranges is not None else [range(2, n + 1)]
-            )
-            if source == "theorem-pipeline" or d == n or (n, d) == fixture
-            for weights in iter_weight_tuples(n, d)
-        )
-    return (p for p in sets if ktheory._source_gap(p, source) is None)
+        return (validate_params(n, n, (1,) * n) for n in n_values)
+    d_ranges = _parse_int_list(args.d) if args.d else None
+    return (
+        QuotientParams(n, d, weights)
+        for n in n_values
+        for d in chain.from_iterable(d_ranges if d_ranges is not None else [range(2, n + 1)])
+        for weights in iter_weight_tuples(n, d)
+    )
 
 
 def _check_sweep_flags(args) -> None:
@@ -460,7 +445,7 @@ def _cmd_sweep(args) -> int:
                 f"sweep grid has more than {args.max_cells} cells;"
                 f" raise --max-cells to proceed"
             )
-    rows = _sweep_rows(sets, coeffs, _SOURCE_BY_ALIAS[args.source])
+    rows = _sweep_rows(sets, coeffs)
     if args.format == "json":
         rows = [dict(zip(_SWEEP_COLUMNS, row)) for row in rows]
         _emit_json({"schema_version": 1, "rows": rows})

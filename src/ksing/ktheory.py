@@ -333,34 +333,28 @@ def pipeline_determinant(n: int, d: int) -> int:
     return (-1) ** (n - 1) * n ** (d - 1)
 
 
-def _source_gap(params: QuotientParams, source: str) -> Optional[str]:
-    """Why ``source`` does not cover ``params``, or None when it does.
-
-    matrix_from_source raises this reason; ``ksing sweep`` skips the sets.
-    """
+def matrix_from_source(params: QuotientParams, source: str) -> IntMatrix:
+    """Resolve the matrix M for one of MATRIX_SOURCES; raise SourceUnavailable
+    when the source is unknown or does not cover ``params``."""
+    if source == "theorem-pipeline":
+        return pipeline_matrix(params)
     if source == "closed-form-family":
         if params.n != params.d or any(a != 1 for a in params.weights):
-            return "closed-form-family applies only to n = d with all weights 1"
+            raise SourceUnavailable(
+                "closed-form-family applies only to n = d with all weights 1"
+            )
         if params.d < 3:
-            return "closed-form-family needs d >= 3"
-    elif source == "paper-fixture":
-        if params != LOW_DIM_PARAMS:
-            return "paper-fixture applies only to n = 5, d = 3, weights (1, 2, 2)"
-    elif source != "theorem-pipeline":
-        return f"unknown matrix source {source!r}; expected one of {MATRIX_SOURCES}"
-    return None
-
-
-def matrix_from_source(params: QuotientParams, source: str) -> IntMatrix:
-    """Resolve the matrix M for one of MATRIX_SOURCES."""
-    gap = _source_gap(params, source)
-    if gap is not None:
-        raise SourceUnavailable(gap)
-    if source == "closed-form-family":
+            raise SourceUnavailable("closed-form-family needs d >= 3")
         return sys.modules[__name__].family_matrix_closed_form(params.d)
     if source == "paper-fixture":
+        if params != LOW_DIM_PARAMS:
+            raise SourceUnavailable(
+                "paper-fixture applies only to n = 5, d = 3, weights (1, 2, 2)"
+            )
         return LOW_DIM_PRINTED_MATRIX
-    return pipeline_matrix(params)
+    raise SourceUnavailable(
+        f"unknown matrix source {source!r}; expected one of {MATRIX_SOURCES}"
+    )
 
 
 def _corollary_notes(

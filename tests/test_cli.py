@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -117,6 +118,54 @@ def test_compute_fixture_source(capsys):
     payload = json.loads(out)
     assert payload["matrix_source"] == "paper-fixture"
     assert payload["even_group"] == [13]
+
+
+@pytest.mark.parametrize(
+    "source, n, d, weights, message",
+    [
+        ("family", "5", "3", "1,2,2", "closed-form-family applies only to n = d with all weights 1"),
+        ("family", "2", "2", "1,1", "closed-form-family needs d >= 3"),
+        (
+            "fixture", "3", "3", "1,1,1",
+            "paper-fixture applies only to n = 5, d = 3, weights (1, 2, 2)",
+        ),
+    ],
+)
+def test_compute_refuses_a_set_its_source_does_not_cover(capsys, source, n, d, weights, message):
+    code, out, err = run_cli(
+        capsys, "compute", "--n", n, "--d", d, "--weights", weights,
+        "--prime", "2", "--source", source,
+    )
+    assert (code, out, err) == (2, "", f"error: SourceUnavailable: {message}\n")
+
+
+def test_an_unknown_source_is_refused_by_name():
+    with pytest.raises(SourceUnavailable) as exc:
+        matrix_from_source(ksing.LOW_DIM_PARAMS, "no-such-source")
+    assert str(exc.value) == (
+        "unknown matrix source 'no-such-source'; expected one of"
+        " ('theorem-pipeline', 'closed-form-family', 'paper-fixture')"
+    )
+
+
+def _readme_commands() -> list[str]:
+    """The ``ksing ...`` lines of README.md's ```sh blocks."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = text.split("```sh\n")[1:]
+    lines = (line.strip() for block in blocks for line in block.split("```")[0].splitlines())
+    return [line for line in lines if line.startswith("ksing ")]
+
+
+def test_readme_lists_its_cli_examples():
+    # Guards the parser: no ksing line found would leave nothing to run.
+    assert len(_readme_commands()) >= 10
+
+
+@pytest.mark.parametrize("line", _readme_commands())
+def test_readme_cli_example_runs(capsys, line):
+    code, out, err = run_cli(capsys, *shlex.split(line, comments=True)[1:])
+    assert (code, err) == (0, "")
+    assert out
 
 
 def test_quiver_dot(capsys):
@@ -489,11 +538,6 @@ def test_sweep_takes_one_determinant_per_parameter_set(capsys, monkeypatch):
     assert dets == []
     # compute_ktheory still runs once per (set, prime) cell.
     assert len(computes) == len(rows)
-    code, out, _ = run_cli(capsys, "sweep", "--n", "3-7", "--primes", "2,3", "--source", "family")
-    assert code == 0
-    family_rows = list(csv.reader(io.StringIO(out)))[1:]
-    assert len(family_rows) == 2 * 5
-    assert len(dets) == 5
     # --max-cells counts (set, prime) cells, not parameter sets.
     assert run_cli(capsys, *args, "--max-cells", str(len(rows)))[0] == 0
     code, _, err = run_cli(capsys, *args, "--max-cells", str(len(rows) - 1))
@@ -523,21 +567,9 @@ def test_pipeline_det_is_the_closed_form(capsys, monkeypatch, command, fmt):
     assert len(dets) == 1
 
 
-@pytest.mark.parametrize("alias", ["pipeline", "family", "fixture"])
-def test_sweep_keeps_exactly_the_sets_its_source_covers(alias):
-    source = ksing.cli._SOURCE_BY_ALIAS[alias]
-    args = ksing.cli.build_parser().parse_args(
-        ["sweep", "--n", "2-8", "--weights-mode", "all", "--source", alias]
-    )
-    accepted = set()
-    for params in all_valid_params(8):
-        try:
-            matrix_from_source(params, source)
-        except SourceUnavailable:
-            continue
-        accepted.add(params)
-    assert accepted
-    assert set(ksing.cli._sweep_params(args)) == accepted
+def test_sweep_keeps_every_valid_set_of_its_grid():
+    args = ksing.cli.build_parser().parse_args(["sweep", "--n", "2-8", "--weights-mode", "all"])
+    assert set(ksing.cli._sweep_params(args)) == set(all_valid_params(8))
 
 
 def test_sweep_range_too_large(capsys):
@@ -625,31 +657,6 @@ def test_parse_int_list_merges_into_sorted_ranges():
     assert ksing.cli._parse_int_list("") == []
 
 
-@pytest.mark.parametrize("alias, rows", [("family", 20), ("fixture", 1)])
-def test_sweep_draws_weights_only_for_pairs_a_source_can_cover(
-    capsys, monkeypatch, alias, rows
-):
-    drawn = []
-    iter_weight_tuples = ksing.cli.iter_weight_tuples
-
-    def counting(n, d):
-        for weights in iter_weight_tuples(n, d):
-            drawn.append(weights)
-            yield weights
-
-    monkeypatch.setattr(ksing.cli, "iter_weight_tuples", counting)
-    code, out, _ = run_cli(
-        capsys, "sweep", "--weights-mode", "all", "--n", "2-22", "--primes", "2",
-        "--source", alias,
-    )
-    assert code == 0
-    assert len(list(csv.reader(io.StringIO(out)))) == 1 + rows
-    # n = 2..22 holds 522,350 weight tuples; only the pairs n = d and the
-    # fixture's (5, 3) are walked.
-    fixture_pair = [(1, 1, 3), (1, 2, 2), (1, 3, 1), (2, 1, 2), (2, 2, 1), (3, 1, 1)]
-    assert sorted(drawn) == sorted([(1,) * n for n in range(2, 23)] + fixture_pair)
-
-
 def test_sweep_rows_come_out_in_grid_order(capsys):
     code, out, _ = run_cli(
         capsys, "sweep", "--weights-mode", "all", "--n", "8,5-7", "--d", "5,3",
@@ -669,11 +676,14 @@ def test_sweep_rows_come_out_in_grid_order(capsys):
     [
         ("sweep", "--n", "3-5", "--primes", "2", "--jobs", "2"),
         ("snf", "--fixture", "paper-low-dim"),
+        ("sweep", "--n", "3-5", "--primes", "2", "--source", "family"),
+        ("sweep", "--n", "3-5", "--primes", "2", "--source", "pipeline"),
     ],
-    ids=["sweep-jobs", "snf-fixture"],
+    ids=["sweep-jobs", "snf-fixture", "sweep-source-family", "sweep-source-pipeline"],
 )
 def test_removed_flags_exit_2(capsys, argv):
-    # The sweep runs in the calling process only; snf takes the fixture as
+    # The sweep runs in the calling process and on the pipeline only, so it
+    # refuses even the default --source; snf takes the fixture as
     # --source fixture --n 5 --d 3 --weights 1,2,2.
     with pytest.raises(SystemExit) as exc:
         main(list(argv))

@@ -7,11 +7,13 @@ verification mode that reports discrepancies between the two.  The result
 types (QuotientParams, KTheoryReport, ...) are immutable named tuples.
 
 The quiver and the verification code, which no ``compute`` or ``sweep``
-answer runs, load on first use.  ``_LATE`` maps each of their names to its
-home module.  The PEP 562 ``__getattr__`` of the package, ``linalg``,
-``cartan``, ``ktheory`` and ``cli`` passes a name to ``_bind``, which binds it
-there from its home: one object under every name.  Internal callers read a
-late name through ``sys.modules[__name__]``, so a wrapper set there is called.
+answer runs, load on first use, and so do the CLI's single-set commands,
+which a ``sweep`` process never runs.  ``_LATE`` maps each of their names to
+its home module.  The PEP 562 ``__getattr__`` of the package, ``linalg``,
+``cartan``, ``ktheory``, ``cli`` and ``commands`` passes a name to ``_bind``,
+which binds it there from its home: one object under every name.  Internal
+callers read a late name through ``sys.modules[__name__]``, so a wrapper set
+there is called.
 """
 
 import importlib as _importlib
@@ -27,6 +29,11 @@ _LATE = {
          "mod_q_kernel_cokernel", "multiset_number", "path_counts_bruteforce", "pfaffian",
          "smith_certificate", "verify_paper"),
         "verification",
+    ),
+    **dict.fromkeys(
+        ("_cmd_compute", "_cmd_quiver", "_cmd_cartan", "_cmd_matrix", "_cmd_snf",
+         "_cmd_verify_paper"),
+        "commands",
     ),
 }
 

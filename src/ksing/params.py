@@ -148,17 +148,17 @@ def validate_prime_power(l, nu) -> PrimePower:
 
 def iter_weight_tuples(n: int, d: int) -> Iterator[tuple[int, ...]]:
     """Yield every valid weight tuple for (n, d) in lexicographic order."""
-    units = [a for a in range(1, n) if gcd(a, n) == 1]
 
+    # Each weight is tested as the loop reaches it, so the first tuple comes
+    # without a list of all units below n; the last weight is forced.
     def extend(prefix: tuple[int, ...], remaining: int, slots: int):
-        if slots == 0:
-            if remaining == 0:
-                yield prefix
+        if slots == 1:
+            if gcd(remaining, n) == 1:
+                yield prefix + (remaining,)
             return
-        for a in units:
-            if a > remaining - (slots - 1):
-                break
-            yield from extend(prefix + (a,), remaining - a, slots - 1)
+        for a in range(1, remaining - slots + 2):
+            if gcd(a, n) == 1:
+                yield from extend(prefix + (a,), remaining - a, slots - 1)
 
     if d >= 2:
         yield from extend((), n, d)

@@ -8,12 +8,16 @@ explicit enumeration of the map on (Z/q)^k, the unipotent inverse and
 theorem matrix by their dense definitions over plain lists, the
 closed-form family by a fresh sum per entry, Smith divisors by
 extended gcds modulo |det| and by ksing.linalg._divisors_mod modulo a
-proven power of l, and path classes by sorted letter tuples.
+proven power of l, path classes by sorted letter tuples, and weight
+tuples from a list of every unit below n.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
+import subprocess
+import sys
 from collections import defaultdict
 from fractions import Fraction
 from math import comb, gcd, prod
@@ -40,6 +44,48 @@ def all_valid_params(max_n: int, max_d: int | None = None) -> list[QuotientParam
             for weights in iter_weight_tuples(n, d):
                 out.append(QuotientParams(n, d, weights))
     return out
+
+
+def modules_after_main(argv: list[str]) -> set[str]:
+    """The ``ksing`` modules loaded in a fresh process after ``import
+    ksing.cli`` and ``ksing.cli.main(argv)``, which must return 0."""
+    code = (
+        "import contextlib, io, sys, ksing.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = ksing.cli.main({argv!r})\n"
+        "print(code, *sorted(m for m in sys.modules if m.partition('.')[0] == 'ksing'))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(ksing.linalg.__file__))}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True,
+        timeout=60,
+    ).stdout
+    exit_code, *modules = out.split()
+    assert exit_code == "0"
+    return set(modules)
+
+
+def weight_tuples_from_units(n: int, d: int):
+    """Valid weight tuples for (n, d) in lexicographic order, from a list of
+    every unit below n made first.
+
+    An oracle for ksing.iter_weight_tuples, which tests each weight as it
+    reaches it and forces the last one.
+    """
+    units = [a for a in range(1, n) if gcd(a, n) == 1]
+
+    def extend(prefix: tuple[int, ...], remaining: int, slots: int):
+        if slots == 0:
+            if remaining == 0:
+                yield prefix
+            return
+        for a in units:
+            if a > remaining - (slots - 1):
+                break
+            yield from extend(prefix + (a,), remaining - a, slots - 1)
+
+    if d >= 2:
+        yield from extend((), n, d)
 
 
 def three_step_quiver(params: QuotientParams):

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import ksing.cli
+import ksing.commands
 import ksing.ktheory
 import ksing.linalg
 from ksing import (
@@ -23,7 +25,7 @@ from ksing import (
 )
 from ksing.cli import main
 
-from conftest import all_valid_params
+from conftest import all_valid_params, modules_after_main
 
 
 # The published fixture matrix, named by its parameters and source.
@@ -37,7 +39,7 @@ def run_cli(capsys, *argv):
 
 
 def test_coeff_from_args_annotation_resolves():
-    hints = typing.get_type_hints(ksing.cli._coeff_from_args)
+    hints = typing.get_type_hints(ksing.commands._coeff_from_args)
     assert hints["return"] is ksing.PrimePower
 
 
@@ -244,9 +246,9 @@ def test_cartan_refuses_a_bruteforce_cap_without_the_check(capsys):
 
 def test_cartan_check_caps_at_ten_million_by_default(capsys, monkeypatch):
     caps = []
-    brute = ksing.cli.path_counts_bruteforce
+    brute = ksing.commands.path_counts_bruteforce
     monkeypatch.setattr(
-        ksing.cli, "path_counts_bruteforce", lambda q, cap: caps.append(cap) or brute(q, cap)
+        ksing.commands, "path_counts_bruteforce", lambda q, cap: caps.append(cap) or brute(q, cap)
     )
     code, out, _ = run_cli(
         capsys, "cartan", "--n", "5", "--d", "3", "--weights", "1,2,2", "--check-bruteforce"
@@ -515,18 +517,13 @@ def test_sweep_is_deterministic(capsys):
 
 
 def test_sweep_takes_one_determinant_per_parameter_set(capsys, monkeypatch):
-    dets, computes = [], []
-    determinant, compute = ksing.cli.determinant, ksing.ktheory.compute_ktheory
-
-    def counting_determinant(m):
-        dets.append(m)
-        return determinant(m)
+    computes = []
+    compute = ksing.ktheory.compute_ktheory
 
     def counting_compute(params, *args):
         computes.append(params)
         return compute(params, *args)
 
-    monkeypatch.setattr(ksing.cli, "determinant", counting_determinant)
     monkeypatch.setattr(ksing.ktheory, "compute_ktheory", counting_compute)
     args = ("sweep", "--n", "2-7", "--weights-mode", "all", "--primes", "2,3,5")
     code, out, _ = run_cli(capsys, *args)
@@ -534,8 +531,9 @@ def test_sweep_takes_one_determinant_per_parameter_set(capsys, monkeypatch):
     rows = list(csv.reader(io.StringIO(out)))[1:]
     sets = {tuple(row[:3]) for row in rows}
     assert len(rows) == 3 * len(sets)
-    # The pipeline's det M is the closed form of pipeline_divisors.
-    assert dets == []
+    # The pipeline's det M is the closed form of pipeline_divisors: the sweep
+    # never loads ksing.commands, whose _det_m holds the Bareiss route.
+    assert "ksing.commands" not in modules_after_main(list(args))
     # compute_ktheory still runs once per (set, prime) cell.
     assert len(computes) == len(rows)
     # --max-cells counts (set, prime) cells, not parameter sets.
@@ -550,13 +548,13 @@ def test_sweep_takes_one_determinant_per_parameter_set(capsys, monkeypatch):
 )
 def test_pipeline_det_is_the_closed_form(capsys, monkeypatch, command, fmt):
     dets = []
-    determinant = ksing.cli.determinant
+    determinant = ksing.commands.determinant
 
     def counting_determinant(m):
         dets.append(m)
         return determinant(m)
 
-    monkeypatch.setattr(ksing.cli, "determinant", counting_determinant)
+    monkeypatch.setattr(ksing.commands, "determinant", counting_determinant)
     args = (command, "--n", "7", "--d", "7", "--weights", "1,1,1,1,1,1,1", "--format", fmt)
     if command == "compute":
         args += ("--prime", "7")
@@ -635,6 +633,20 @@ def test_sweep_refuses_an_oversized_grid_before_enumerating_it(capsys, monkeypat
     assert len(drawn) <= 10 // 2 + 1
 
 
+@pytest.mark.parametrize("n", ["10000019", "99999999999999999999"])
+def test_sweep_refuses_a_large_n_without_listing_its_units(n):
+    # The weights are tested as they are drawn, so the second set passes the
+    # cap at once; a list of the units below n took 6.8 s at n = 10000019.
+    env = {**os.environ, "PYTHONPATH": str(Path(ksing.cli.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "ksing.cli", "sweep", "--weights-mode", "all", "--d", "2",
+         "--n", n, "--primes", "2", "--max-cells", "1"],
+        env=env, capture_output=True, text=True, timeout=5,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "RangeTooLarge" in proc.stderr
+
+
 def test_sweep_refuses_a_long_range_without_building_it(capsys):
     # --n is walked lazily, so the cap stops it after a few sets; holding
     # all 3,000,000 values at once took about 280 MB.
@@ -691,6 +703,16 @@ def test_removed_flags_exit_2(capsys, argv):
     out, err = capsys.readouterr()
     assert out == ""
     assert "unrecognized arguments" in err
+
+
+def test_every_parsed_command_has_a_handler():
+    # A command cannot be parsed but missing from ksing.commands, or the
+    # reverse.
+    parser = ksing.cli.build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(subparsers.choices) == set(ksing.cli._DISPATCH)
+    for handler in ksing.cli._DISPATCH.values():
+        assert callable(getattr(ksing.cli, handler)), handler
 
 
 @pytest.mark.parametrize("n, primes", [("12-2", "2"), ("3-5", "7-3")])

@@ -19,6 +19,8 @@ from ksing import (
     validate_prime_power,
 )
 
+from conftest import weight_tuples_from_units
+
 
 def brute_valid_weights(n, d):
     return {
@@ -81,6 +83,19 @@ def test_enumeration_matches_bruteforce():
         for d in range(2, 6):
             expected = brute_valid_weights(n, d)
             assert set(iter_weight_tuples(n, d)) == expected
+
+
+def test_enumeration_matches_the_unit_list_oracle_in_order():
+    for n in range(0, 17):
+        for d in range(0, n + 2):
+            assert list(iter_weight_tuples(n, d)) == list(weight_tuples_from_units(n, d))
+
+
+def test_enumeration_yields_its_first_tuple_without_listing_the_units():
+    # A list of the units below 10**20 could never be made.
+    n = 10**20 + 1
+    assert next(iter_weight_tuples(n, 3)) == (1, 1, n - 2)
+    assert next(iter_weight_tuples(10**7 + 19, 3)) == (1, 1, 10**7 + 17)
 
 
 def test_validate_accepts_exactly_the_valid_tuples():

@@ -16,6 +16,9 @@ import pytest
 
 import ksing
 import ksing.cli
+import ksing.commands
+
+from conftest import modules_after_main
 
 SOURCE = Path(ksing.__file__).resolve().parent
 
@@ -211,6 +214,31 @@ def test_cli_import_leaves_what_only_some_commands_need_out(module):
     assert _loaded_by_import(module, "ksing.cli") == "False"
 
 
+def test_cli_import_leaves_the_single_set_commands_out():
+    assert _loaded_by_import("ksing.commands", "ksing.cli") == "False"
+
+
+def test_a_sweep_never_loads_the_single_set_commands():
+    assert "ksing.commands" not in modules_after_main(["sweep", "--n", "2-5", "--primes", "2"])
+
+
+def test_compute_loads_the_commands_but_not_the_quiver_or_the_verification_code():
+    loaded = modules_after_main(
+        ["compute", "--n", "5", "--d", "3", "--weights", "1,2,2", "--prime", "5"]
+    )
+    assert "ksing.commands" in loaded
+    assert not {"ksing.quiver", "ksing.verification"} & loaded
+
+
+def test_each_single_set_handler_on_the_cli_is_the_one_in_commands():
+    handlers = set(ksing.cli._DISPATCH.values()) - {"_cmd_sweep"}
+    assert len(handlers) == 6
+    for name in handlers:
+        fn = getattr(ksing.cli, name)
+        assert fn.__module__ == "ksing.commands"
+        assert fn is getattr(ksing.commands, name)
+
+
 #: Signature and the first 16 hex digits of the docstring's SHA-256, as they
 #: were before the move, of each name that moved to a module loaded on first
 #: use and of each function perfbench's tracer wraps on a layer.
@@ -302,10 +330,10 @@ def test_internal_callers_read_the_binding_on_their_module(monkeypatch, capsys):
         original = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *a, **k: calls.append(name) or original(*a, **k))
 
-    for module, name in (  # cli first, so that it wraps the library's own
-        (ksing.cli, "build_quiver"),
-        (ksing.cli, "export_quiver"),
-        (ksing.cli, "smith_certificate"),
+    for module, name in (  # commands first, so that it wraps the library's own
+        (ksing.commands, "build_quiver"),
+        (ksing.commands, "export_quiver"),
+        (ksing.commands, "smith_certificate"),
         (ksing.linalg, "smith_certificate"),
         (ksing.ktheory, "family_matrix_closed_form"),
     ):
@@ -382,6 +410,20 @@ def test_only_the_package_lists_what_loads_on_first_use():
         if isinstance(node, ast.FunctionDef) and node.name == "__getattr__" and len(node.body) > 1
     ]
     assert found == []
+
+
+def test_every_layer_getattr_is_the_same_one_return():
+    # ksing.commands binds the quiver and the Smith certificate through the
+    # same one-line __getattr__ as the layers.
+    found = {
+        path.stem: ast.dump(node)
+        for path in sorted(SOURCE.glob("*.py"))
+        if path.name != "__init__.py"
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.FunctionDef) and node.name == "__getattr__"
+    }
+    assert {"linalg", "cartan", "ktheory", "cli", "commands"} <= set(found)
+    assert len(set(found.values())) == 1
 
 
 def test_no_test_module_imports_a_private_name_at_module_level():

@@ -6,14 +6,15 @@ closed-form family matrices, a published reference fixture, and a
 verification mode that reports discrepancies between the two.  The result
 types (QuotientParams, KTheoryReport, ...) are immutable named tuples.
 
-The quiver and the verification code, which no ``compute`` or ``sweep``
-answer runs, load on first use, and so do the CLI's single-set commands,
-which a ``sweep`` process never runs.  ``_LATE`` maps each of their names to
-its home module.  The PEP 562 ``__getattr__`` of the package, ``linalg``,
-``cartan``, ``ktheory``, ``cli`` and ``commands`` passes a name to ``_bind``,
-which binds it there from its home: one object under every name.  Internal
-callers read a late name through ``sys.modules[__name__]``, so a wrapper set
-there is called.
+The quiver, the verification code and the general Smith eliminations,
+which no ``compute`` or ``sweep`` answer runs, load on first use, and so do
+the CLI's single-set commands, which a ``sweep`` process never runs.
+``_LATE`` maps each of their names to its home module: ``quiver``,
+``verification``, ``smith`` or ``commands``.  The PEP 562 ``__getattr__`` of
+the package, ``linalg``, ``cartan``, ``ktheory``, ``cli`` and ``commands``
+passes a name to ``_bind``, which binds it there from its home: one object
+under every name.  Internal callers read a late name through
+``sys.modules[__name__]``, so a wrapper set there is called.
 """
 
 import importlib as _importlib
@@ -27,9 +28,10 @@ _LATE = {
     **dict.fromkeys(
         ("VerificationReport", "corollary_analysis", "family_matrix_closed_form",
          "mod_q_kernel_cokernel", "multiset_number", "path_counts_bruteforce", "pfaffian",
-         "smith_certificate", "verify_paper"),
+         "verify_paper"),
         "verification",
     ),
+    **dict.fromkeys(("_divisors_mod", "smith_certificate"), "smith"),
     **dict.fromkeys(
         ("_cmd_compute", "_cmd_quiver", "_cmd_cartan", "_cmd_matrix", "_cmd_snf",
          "_cmd_verify_paper"),
@@ -89,7 +91,7 @@ from .params import (
 )
 
 def __getattr__(name):
-    if name in ("quiver", "verification"):
+    if name in ("quiver", "verification", "smith"):
         return _importlib.import_module(f"{__name__}.{name}")  # binds it here too
     return _bind(globals(), name)
 

@@ -326,4 +326,8 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    # Under ``python -m ksing.cli`` this module runs as __main__.  It serves
+    # ``import ksing.cli`` too, which ksing.commands makes, so that cli.py is
+    # compiled once.
+    sys.modules.setdefault(__spec__.name, sys.modules[__name__])
     sys.exit(main())

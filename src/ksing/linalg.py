@@ -21,13 +21,14 @@ rows on the first read of ``entries``: M's where ``ksing compute`` and
 ``matrix`` print it, ``snf`` reduces it and ``verify-paper`` compares it,
 never in ``ksing sweep``; those of C^-1 are never read.
 
-Two eliminations give the Smith form.  smith_normal_form returns the
-divisors of a square nonsingular matrix with bounded entries: its content
-c divided out, then elimination over Z/r for r = |det| / c**k, a multiple
-of the last divisor (Storjohann 2000).
+smith_normal_form returns the divisors of a square nonsingular matrix
+with bounded entries: its content c divided out, then, unless
+r = |det| / c**k is 1, as it is for every pipeline matrix, the elimination
+_divisors_mod over Z/r, a multiple of the last divisor (Storjohann 2000).
 smith_certificate returns U, D, V from an elimination over Z whose entries
 are not bounded; ``ksing snf`` runs it alone and prints the diagonal of D.
-It and pfaffian load on first use.
+Those two eliminations live in ``ksing.smith`` and pfaffian in
+``ksing.verification``; all three load on first use.
 """
 
 from __future__ import annotations
@@ -307,82 +308,7 @@ def smith_normal_form(m: IntMatrix) -> tuple[int, ...]:
             if r == 1:
                 return (c,) * k
             b = m.entries if c == 1 else tuple(tuple(x // c for x in row) for row in m.entries)
-            return tuple(c * x for x in _divisors_mod(b, r))
+            return tuple(c * x for x in sys.modules[__name__]._divisors_mod(b, r))
     d = sys.modules[__name__].smith_certificate(m)[1]
     return tuple(d[i, i] for i in range(min(m.rows, m.cols)))
 
-
-def _divisors_mod(a: tuple[tuple[int, ...], ...], r: int) -> tuple[int, ...]:
-    """Smith divisors of a square nonsingular a, by elimination over Z/r.
-
-    r is any positive multiple of the last divisor, such as |det a|: then
-    coker a is a Z/r-module, and the divisors over Z/r are those over Z.
-
-    An entry x prime to r is a unit, a divisor 1: the other rows minus
-    multiples of x's row clear its column, and then clearing its row by
-    column operations changes nothing else.  Units are tested modulo s,
-    with s = l where r = l**e for the least prime l <= k + 1 dividing r
-    (then x is a unit exactly when l does not divide it), else s = r.
-    With no unit left, g = gcd(r, entries) divides every divisor to come;
-    it is divided out of the block and out of r, and r / g is a multiple
-    of the last divisor of a / g.  With no unit and
-    g = 1, Z/r has stable rank 1 (Storjohann 2000, stab): later rows, each
-    times the largest divisor of r prime to the first row's content, are
-    added to the first row until that content is prime to r, and then
-    columns to column 0 in the same way until the corner is a unit.  A row
-    is reduced modulo r when it becomes the pivot row, not at each update,
-    so each update is one product and a sum, adding less than r**2 to an
-    entry.  The loop ends when r is 1 or the block is empty.  Divisors come
-    out smallest first.
-    """
-    out, c = [], 1
-    b = [list(row) for row in a]
-    l = next((p for p in range(2, len(b) + 2) if r % p == 0), 1)
-    s = l if pow(l, r.bit_length(), r) == 0 else r
-    while r > 1 and b:
-        for i, p in enumerate(b):
-            j = next((j for j, x in enumerate(p) if x % s and math.gcd(x, s) == 1), None)
-            if j is not None:
-                break
-        else:
-            g = math.gcd(r, *[x for row in b for x in row])
-            if g > 1:
-                r //= g
-                c *= g
-                s = math.gcd(s, r)
-                b = [[x // g % r for x in row] for row in b]
-                continue
-            i = j = 0
-            p = b[0]
-            for row in b[1:]:
-                g = math.gcd(r, *p)
-                if g == 1:
-                    break
-                t = _part_prime_to(r, g)
-                p[:] = [(x + t * y) % r for x, y in zip(p, row)]
-            for h in range(1, len(p)):
-                if math.gcd(p[0], r) == 1:
-                    break
-                t = _part_prime_to(r, p[0])
-                for row in b:
-                    row[0] = (row[0] + t * row[h]) % r
-        del b[i]
-        p = [x % r for x in p]
-        f = r - pow(p.pop(j), -1, r)
-        nonzeros = [(h, x) for h, x in enumerate(p) if x]
-        for row in b:
-            y = row.pop(j) * f % r
-            if y:
-                for h, x in nonzeros:
-                    row[h] += y * x
-        out.append(c)
-    return tuple(out) + (c,) * len(b)
-
-
-def _part_prime_to(r: int, x: int) -> int:
-    """The largest divisor of r prime to x."""
-    g = math.gcd(r, x)
-    while g > 1:
-        r //= g
-        g = math.gcd(r, g)
-    return r

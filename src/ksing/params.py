@@ -147,18 +147,42 @@ def validate_prime_power(l, nu) -> PrimePower:
 
 
 def iter_weight_tuples(n: int, d: int) -> Iterator[tuple[int, ...]]:
-    """Yield every valid weight tuple for (n, d) in lexicographic order."""
+    """Yield every valid weight tuple for (n, d) in lexicographic order.
 
-    # Each weight is tested as the loop reaches it, so the first tuple comes
-    # without a list of all units below n; the last weight is forced.
-    def extend(prefix: tuple[int, ...], remaining: int, slots: int):
-        if slots == 1:
-            if gcd(remaining, n) == 1:
-                yield prefix + (remaining,)
-            return
-        for a in range(1, remaining - slots + 2):
-            if gcd(a, n) == 1:
-                yield from extend(prefix + (a,), remaining - a, slots - 1)
-
-    if d >= 2:
-        yield from extend((), n, d)
+    The walk fills one slot at a time from a stack of the weights chosen so
+    far, testing each candidate a for gcd(a, n) == 1 as it reaches it, and
+    forces the last weight, so the first tuple comes without a list of the
+    units below n.  For even n every unit is odd, so a remainder r with s
+    slots left can be filled only when r = s (mod 2); each odd weight keeps
+    that parity, so it is tested once, on n and d, and an odd d yields
+    nothing at once.  A prefix that passes can still have no completion,
+    where its remainder is too small to split into units: for n = 30,
+    d = 4, (7, 19) leaves 4, and neither 1 + 3 nor 3 + 1 is two units of
+    30.  Below a prefix with s slots left and remainder r every weight is
+    at most r - s + 1, so the walk there makes at most
+    (r - s + 1) * C(r, s - 1) gcd tests, whatever n is.  That grows fast
+    with s: (n, d) = (2310, 2296) has no tuple, since 14 = n - d is no sum
+    of excesses a - 1 of units, and the walk makes 7,933,816 gcd tests to
+    find that.
+    """
+    if not 2 <= d <= n or n % 2 == 0 and d % 2:
+        return
+    last = d - 1  # the forced slot
+    weights = [0] * last
+    remaining, i, a = n, 0, 0  # slots before i hold n - remaining; a is slot i's candidate
+    while i >= 0:
+        a += 1
+        if a > remaining - (last - i):  # each slot after i needs at least 1
+            i -= 1
+            if i >= 0:
+                a = weights[i]
+                remaining += a
+        elif gcd(a, n) == 1:
+            weights[i] = a
+            if i == last - 1:
+                if gcd(remaining - a, n) == 1:
+                    yield (*weights, remaining - a)
+            else:
+                remaining -= a
+                i += 1
+                a = 0

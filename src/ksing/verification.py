@@ -1,9 +1,10 @@
 """The code that checks answers: no ``compute`` or ``sweep`` answer runs it.
 
-Here are ``linalg``'s Pfaffian and Smith certificate, ``cartan``'s
-brute-force path counts, and ``ktheory``'s closed-form family, mod-q kernel
-and cokernel, corollary notes and ``verify_paper``.  ``import ksing`` does
-not load this module: its names load on first use.
+Here are ``linalg``'s Pfaffian, ``cartan``'s brute-force path counts, and
+``ktheory``'s closed-form family, mod-q kernel and cokernel, corollary
+notes and ``verify_paper``.  ``import ksing`` does not load this module:
+its names load on first use.  The Smith certificate lives in
+``ksing.smith``, so that the first ``verify_paper`` does not compile it.
 
 >>> import ksing, ksing.linalg
 >>> ksing.pfaffian is ksing.linalg.pfaffian is pfaffian
@@ -86,63 +87,6 @@ def pfaffian(m: IntMatrix) -> int:
                 a[j][i] = -v
         prev = p
     return sign * prev
-
-
-def smith_certificate(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Unimodular U, V and diagonal D with U @ m @ V == D.
-
-    Reduction over Z on w = [[m, I], [I, 0]]: row operations on the top
-    rows act on m and U, column operations on the left columns on m and V.
-    Step t starts at the least nonzero |entry| left, then works in rounds:
-    move the pivot to (t, t), reduce column t below it and row t right of
-    it to floor remainders, and pivot next on the least remainder.  Once
-    none is left, fold in a row the pivot does not divide, so that each
-    divisor divides the next.  The diagonal of D is then smith_normal_form
-    of m: nonnegative, each nonzero entry dividing the next, zeros last.
-    Entries are not bounded: on the unit-weight family U and V reach 1,155
-    bits at n = 19 and 29,760 bits at n = 32.
-
-    >>> m = IntMatrix([[2, 4], [6, 8]])
-    >>> u, d, v = smith_certificate(m)
-    >>> d.to_lists(), u @ m @ v == d
-    ([[2, 0], [0, 4]], True)
-    """
-    nrows, ncols = m.rows, m.cols
-    w = [list(row) + [int(i == j) for j in range(nrows)] for i, row in enumerate(m.entries)]
-    w += [[int(i == j) for j in range(ncols)] + [0] * nrows for i in range(ncols)]
-    for t in range(min(nrows, ncols)):
-        nonzero = [
-            (abs(w[i][j]), i, j) for i in range(t, nrows) for j in range(t, ncols) if w[i][j]
-        ]
-        while nonzero:
-            _, i, j = min(nonzero)
-            w[i], w[t] = w[t], w[i]
-            for row in w:
-                row[j], row[t] = row[t], row[j]
-            if w[t][t] < 0:
-                w[t] = [-x for x in w[t]]
-            p = w[t][t]
-            for i in range(t + 1, nrows):
-                q = w[i][t] // p
-                if q:
-                    w[i] = [x - q * y for x, y in zip(w[i], w[t])]
-            for j in range(t + 1, ncols):
-                q = w[t][j] // p
-                if q:
-                    for row in w:
-                        row[j] -= q * row[t]
-            nonzero = [(w[i][t], i, t) for i in range(t + 1, nrows) if w[i][t]]
-            nonzero += [(w[t][j], t, j) for j in range(t + 1, ncols) if w[t][j]]
-            if not nonzero:
-                for i in range(t + 1, nrows):
-                    if any(x % p for x in w[i][t + 1:ncols]):
-                        w[t] = [x + y for x, y in zip(w[t], w[i])]
-                        nonzero = [(p, t, t)]
-                        break
-
-    u = IntMatrix(row[ncols:] for row in w[:nrows])
-    d = IntMatrix(row[:ncols] for row in w[:nrows])
-    return u, d, IntMatrix(row[:ncols] for row in w[nrows:])
 
 
 def path_counts_bruteforce(q: Quiver, cap: int = 10_000_000) -> list[int]:

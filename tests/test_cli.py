@@ -633,18 +633,57 @@ def test_sweep_refuses_an_oversized_grid_before_enumerating_it(capsys, monkeypat
     assert len(drawn) <= 10 // 2 + 1
 
 
+def _run_module(*args: str, timeout: float) -> subprocess.CompletedProcess:
+    """``python <args>`` in a fresh process with the library on its path."""
+    env = {**os.environ, "PYTHONPATH": str(Path(ksing.cli.__file__).parents[1])}
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=timeout
+    )
+
+
 @pytest.mark.parametrize("n", ["10000019", "99999999999999999999"])
 def test_sweep_refuses_a_large_n_without_listing_its_units(n):
     # The weights are tested as they are drawn, so the second set passes the
     # cap at once; a list of the units below n took 6.8 s at n = 10000019.
-    env = {**os.environ, "PYTHONPATH": str(Path(ksing.cli.__file__).parents[1])}
-    proc = subprocess.run(
-        [sys.executable, "-m", "ksing.cli", "sweep", "--weights-mode", "all", "--d", "2",
-         "--n", n, "--primes", "2", "--max-cells", "1"],
-        env=env, capture_output=True, text=True, timeout=5,
+    proc = _run_module(
+        "-m", "ksing.cli", "sweep", "--weights-mode", "all", "--d", "2", "--n", n,
+        "--primes", "2", "--max-cells", "1", timeout=5,
     )
     assert (proc.returncode, proc.stdout) == (2, "")
     assert "RangeTooLarge" in proc.stderr
+
+
+def test_sweep_walks_a_thousand_weights_deep():
+    # The walk keeps its own stack; with one generator frame a weight,
+    # d = 2,000 ended in "internal error: RecursionError" and exit 3.
+    proc = _run_module(
+        "-m", "ksing.cli", "sweep", "--weights-mode", "all", "--n", "3001", "--d", "2000",
+        "--primes", "2", "--max-cells", "5", timeout=10,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "RangeTooLarge" in proc.stderr
+
+
+def test_sweep_skips_an_odd_d_at_an_even_n_at_once():
+    # Odd units cannot sum to an even n; walking every prefix to find that
+    # took 0.78 s at n = 4,000 and grows like n**2.
+    proc = _run_module(
+        "-m", "ksing.cli", "sweep", "--weights-mode", "all", "--n", "40000", "--d", "3",
+        "--primes", "2", "--max-cells", "1", timeout=5,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == ",".join(ksing.cli._SWEEP_COLUMNS) + "\n"
+
+
+def test_a_module_run_compiles_the_cli_once(capsys):
+    # Under ``python -m ksing.cli`` the module runs as __main__, and
+    # ksing.commands imports ksing.cli: one module object serves both.
+    args = ["compute", "--n", "5", "--d", "3", "--weights", "1,2,2", "--prime", "5"]
+    proc = _run_module("-X", "importtime", "-m", "ksing.cli", *args, timeout=60)
+    imported = [line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()]
+    assert proc.returncode == 0
+    assert "ksing" in imported and "ksing.cli" not in imported
+    assert proc.stdout == run_cli(capsys, *args)[1]
 
 
 def test_sweep_refuses_a_long_range_without_building_it(capsys):

@@ -185,15 +185,17 @@ def test_import_leaves_json_out():
     assert _loaded_by_import("json", "ksing") == "False"
 
 
-@pytest.mark.parametrize("module", ["ksing.quiver", "ksing.verification"])
+@pytest.mark.parametrize("module", ["ksing.quiver", "ksing.verification", "ksing.smith"])
 def test_import_leaves_the_quiver_and_the_verification_code_out(module):
-    # No compute or sweep answer runs them; without bytecode caching every
-    # process would compile them.
+    # No compute or sweep answer runs them, nor the general Smith
+    # eliminations; without bytecode caching every process would compile
+    # them.
     assert _loaded_by_import(module, "ksing") == "False"
 
 
 @pytest.mark.parametrize(
-    "module, name", [("quiver", "build_quiver"), ("verification", "verify_paper")]
+    "module, name",
+    [("quiver", "build_quiver"), ("verification", "verify_paper"), ("smith", "smith_certificate")],
 )
 def test_the_package_loads_a_late_module_on_first_read(module, name):
     # Unbound after ``import ksing``, the module is read through the
@@ -206,11 +208,14 @@ def test_the_package_loads_a_late_module_on_first_read(module, name):
     assert _fresh_output(code) == "True True True"
 
 
-@pytest.mark.parametrize("module", ["json", "csv", "ksing.quiver", "ksing.verification"])
+@pytest.mark.parametrize(
+    "module", ["json", "csv", "ksing.quiver", "ksing.verification", "ksing.smith"]
+)
 def test_cli_import_leaves_what_only_some_commands_need_out(module):
     # json serves --format json, csv the sweep, the quiver and the
     # verification code the quiver, cartan --check-bruteforce, snf and
-    # verify-paper commands.
+    # verify-paper commands, the Smith eliminations snf and the family and
+    # fixture sources.
     assert _loaded_by_import(module, "ksing.cli") == "False"
 
 
@@ -230,6 +235,26 @@ def test_compute_loads_the_commands_but_not_the_quiver_or_the_verification_code(
     assert not {"ksing.quiver", "ksing.verification"} & loaded
 
 
+def test_pipeline_answers_leave_the_smith_eliminations_out():
+    # The content of a pipeline matrix leaves |det| / c**k = 1, so no
+    # compute_ktheory cell of the family-snf or wide-lowdim workload and no
+    # sweep row reaches _divisors_mod; the family source does.
+    workloads = runpy.run_path(str(SOURCE.parents[1] / "perfbench" / "workloads.py"))
+    lo, hi = workloads["FAMILY_N"]
+    sets = [(n, n, (1,) * n) for n in range(lo, hi + 1)] + list(workloads["WIDE_SETS"])
+    code = (
+        "import sys, ksing\n"
+        f"for n, d, w in {sets!r}:\n"
+        "    ksing.compute_ktheory(ksing.validate_params(n, d, w), ksing.validate_prime_power(2, 3))\n"
+        "print('ksing.smith' in sys.modules)"
+    )
+    assert _fresh_output(code) == "False"
+    sweep = ["sweep", "--n", "2-8", "--weights-mode", "all", "--primes", "2,3"]
+    assert "ksing.smith" not in modules_after_main(sweep)
+    family = ["compute", "--n", "4", "--d", "4", "--weights", "1,1,1,1", "--prime", "2"]
+    assert "ksing.smith" in modules_after_main([*family, "--source", "family"])
+
+
 def test_each_single_set_handler_on_the_cli_is_the_one_in_commands():
     handlers = set(ksing.cli._DISPATCH.values()) - {"_cmd_sweep"}
     assert len(handlers) == 6
@@ -245,7 +270,7 @@ def test_each_single_set_handler_on_the_cli_is_the_one_in_commands():
 PINNED = {
     ("params", "validate_params"): ("(n, d, weights) -> 'QuotientParams'", "036f507f3fd64b04"),
     ("params", "iter_weight_tuples"): (
-        "(n: 'int', d: 'int') -> 'Iterator[tuple[int, ...]]'", "e57920089fc81066"
+        "(n: 'int', d: 'int') -> 'Iterator[tuple[int, ...]]'", "9b02ca330d8dcd6a"
     ),
     ("cartan", "path_counts_gf"): ("(params: 'QuotientParams') -> 'list[int]'", "3ea58ad787bbb2e8"),
     ("cartan", "cartan_matrix"): ("(counts: 'list[int]') -> 'IntMatrix'", "0ae117130f6ce77d"),
@@ -380,6 +405,7 @@ def test_type_hints_of_every_public_function_resolve():
     [
         ("ksing.linalg.pfaffian", "ksing.verification", "ksing.quiver"),
         ("ksing.cli.build_quiver", "ksing.quiver", "ksing.verification"),
+        ("ksing.linalg.smith_certificate", "ksing.smith", "ksing.verification"),
     ],
 )
 def test_each_late_name_loads_its_home_alone(read, home, other):

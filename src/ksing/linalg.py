@@ -4,8 +4,8 @@ Dense matrices over Python's arbitrary-precision integers: transposes,
 differences and products, unipotent inverses, determinants, Pfaffians,
 Smith divisors and unimodular Smith certificates.  There is no floating
 point, no rational arithmetic and no fixed-width fast path anywhere:
-determinants (Bareiss) and Pfaffians (the Pfaffian analogue) are
-fraction-free, and each of their divisions is exact.
+determinants (Bareiss's two-step form) and Pfaffians (the Pfaffian
+analogue) are fraction-free, and each of their divisions is exact.
 
 Entries are checked where they come in, by ``IntMatrix(rows)`` and
 ``IntMatrix.lower_toeplitz(col)``; rows built here from checked matrices
@@ -262,26 +262,44 @@ def determinant(m: IntMatrix) -> int:
         raise ValueError(f"determinant needs a square matrix, got {m.rows}x{m.cols}")
     if m.first_column is not None:
         return m.first_column[0] ** m.rows
-    a = m.to_lists()
-    n = m.rows
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                # Sylvester's identity makes this division exact.
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    return _bareiss_two_step(list(m.entries))
+
+
+def _bareiss_two_step(a: list) -> int:
+    """The determinant of the square matrix with rows a, by Bareiss's two-step form.
+
+    Kept out of determinant, whose lower-Toeplitz path the sweep takes
+    thousands of times: the closures here make their cells at every call.
+    """
+    # a holds rows and columns k.. of the elimination and prev its last
+    # pivot.  Rows 0, 1 of a, the first pair whose 2x2 minor on columns
+    # 0, 1 is nonzero, clear those two columns.
+    sign = prev = 1
+    while len(a) > 1:
+        for r, row in enumerate(a):
+            if row[0] or row[1]:
+                break
+        x, y = a[r][:2]
+        for s in range(r + 1, len(a)):
+            if x * a[s][1] != y * a[s][0]:
+                break
+        else:  # columns 0, 1 of a are dependent
+            return 0
+        for i, j in (0, r), (1, s):
+            if i != j:
+                a[i], a[j], sign = a[j], a[i], -sign
+        (p, q, *top), (u, v, *nxt) = a[0], a[1]
+        c0 = (p * v - q * u) // prev
+        rows = []
+        for row in a[2:]:
+            x, y = row[0], row[1]
+            # Sylvester's identity makes each of these divisions exact.
+            c1, c2 = (q * x - p * y) // prev, (u * y - v * x) // prev
+            rows.append(
+                [(z * c0 + b * c1 + t * c2) // prev for z, b, t in zip(row[2:], nxt, top)]
+            )
+        a, prev = rows, c0
+    return sign * (a[0][0] if a else prev)
 
 
 def smith_normal_form(m: IntMatrix) -> tuple[int, ...]:

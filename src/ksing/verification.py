@@ -326,8 +326,10 @@ def verify_paper(fixture: str, d: Optional[int] = None) -> VerificationReport:
         notes.append("reference and pipeline matrices agree exactly")
     notes.append(f"reference det = {ref_det}, pipeline det = {got_det}")
     if pf is not None:
+        # A mismatch is reported as found, not reconciled.
+        claim = "equals" if pf * pf == got_det else f"{got_det} differs from"
         notes.append(
-            f"pipeline det equals det(C - C^T) = Pf(C - C^T)**2 ="
+            f"pipeline det {claim} det(C - C^T) = Pf(C - C^T)**2 ="
             f" ({pf})**2 = {pf * pf}"
         )
     if fixture == "low-dim-example":

@@ -1,7 +1,8 @@
 """Shared fixtures and independent oracles for the test suite.
 
 The oracles here deliberately avoid the library's own algorithms:
-determinants by cofactor expansion, Pfaffians by the 4x4 combinatorial
+determinants by cofactor expansion and by one-step Bareiss elimination
+(the library takes two columns per pass), Pfaffians by the 4x4 combinatorial
 formula and by Parlett-Reid elimination over the rationals, quivers by
 the literal three-step truncation, kernels / cokernels over Z/q by
 explicit enumeration of the map on (Z/q)^k, the unipotent inverse and
@@ -182,6 +183,34 @@ def laplace_det(rows) -> int:
         minor = [r[:j] + r[j + 1:] for r in rows[1:]]
         total += (-1) ** j * x * laplace_det(minor)
     return total
+
+
+def bareiss_one_step(rows) -> int:
+    """Determinant by one-step Bareiss elimination, one column per pass.
+
+    Swaps in the first row below with a nonzero entry in the pivot column
+    (each swap flips the sign); with no such row the matrix is singular.
+    An oracle for ksing.determinant, which clears two columns per pass.
+    """
+    a = [list(row) for row in rows]
+    n = len(a)
+    sign = prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                # Sylvester's identity makes this division exact.
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
 
 
 def pfaffian4(m: IntMatrix) -> int:

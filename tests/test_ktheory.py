@@ -453,6 +453,25 @@ class TestVerifyPaper:
                 validate_params(d, d, (1,) * d)
             )
 
+    def test_pfaffian_identity_is_checked_not_asserted(self, monkeypatch):
+        import ksing.verification
+
+        report = verify_paper("low-dim-example")
+        assert report.notes[2] == (
+            "pipeline det equals det(C - C^T) = Pf(C - C^T)**2 = (-5)**2 = 25"
+        )
+        # A wrong determinant is reported next to the Pfaffian, not replaced.
+        monkeypatch.setattr(ksing.verification, "determinant", lambda m: 24)
+        for fixture, d in ("low-dim-example", None), ("family", 5):
+            report = verify_paper(fixture, d)
+            assert report.computed_det == 24 and report.pfaffian is not None
+            pf = report.pfaffian
+            assert (
+                f"pipeline det 24 differs from det(C - C^T) = Pf(C - C^T)**2 ="
+                f" ({pf})**2 = {pf * pf}"
+            ) in report.notes
+            assert not any("equals" in note for note in report.notes)
+
     def test_fixture_validation(self):
         with pytest.raises(InputError):
             verify_paper("family")

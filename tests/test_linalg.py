@@ -1,4 +1,5 @@
 import gc
+import itertools
 import math
 import random
 import types
@@ -27,9 +28,11 @@ from ksing import (
     validate_params,
 )
 import ksing.linalg
+from ksing.ktheory import pipeline_determinant
 
 from conftest import (
     all_valid_params,
+    bareiss_one_step,
     divisors_by_extended_gcds,
     identity,
     laplace_det,
@@ -396,6 +399,64 @@ class TestDeterminant:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             determinant(IntMatrix([[1, 2]]))
+
+    def test_against_one_step_bareiss_on_the_verified_matrices(self):
+        # The 48 matrices verify_paper compares: the closed form and the
+        # pipeline matrix for d = 3..25, the printed low-dim matrix and its
+        # pipeline matrix.  Rows are copied so no first column is recorded.
+        from ksing.verification import LOW_DIM_PARAMS, LOW_DIM_PRINTED_MATRIX
+
+        matrices = [LOW_DIM_PRINTED_MATRIX, pipeline_matrix(LOW_DIM_PARAMS)]
+        for d in range(3, 26):
+            matrices += [
+                family_matrix_closed_form(d),
+                pipeline_matrix(validate_params(d, d, (1,) * d)),
+            ]
+        assert len(matrices) == 48
+        for m in matrices:
+            plain = IntMatrix(m.entries)
+            assert plain.first_column is None
+            assert determinant(plain) == bareiss_one_step(plain.entries)
+
+    def test_against_one_step_bareiss_on_sparse_and_singular_matrices(self):
+        rng = random.Random(41)
+        singular = dependent_lead = 0
+        for _ in range(1500):
+            k = rng.randint(1, 8)
+            density = rng.choice((0.15, 0.3, 0.6, 1.0))
+            rows = [
+                [rng.randint(-6, 6) if rng.random() < density else 0 for _ in range(k)]
+                for _ in range(k)
+            ]
+            if k >= 2 and rng.random() < 0.3:
+                # a leading 2x2 minor of 0 forces a row pair search
+                c = rng.randint(-2, 2)
+                rows[1][:2] = [c * rows[0][0], c * rows[0][1]]
+            if k >= 3 and rng.random() < 0.15:
+                rows[-1] = [x - 2 * y for x, y in zip(rows[0], rows[1])]
+            expected = bareiss_one_step(rows)
+            assert determinant(IntMatrix(rows)) == expected, rows
+            assert k > 5 or expected == laplace_det(rows)
+            singular += expected == 0
+            dependent_lead += k >= 2 and rows[0][0] * rows[1][1] == rows[0][1] * rows[1][0]
+        assert singular > 100 and dependent_lead > 200
+
+    def test_sign_of_every_permutation_matrix(self):
+        for k in range(1, 6):
+            for perm in itertools.permutations(range(k)):
+                rows = [[int(j == perm[i]) for j in range(k)] for i in range(k)]
+                inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+                assert determinant(IntMatrix(rows)) == bareiss_one_step(rows) == (-1) ** inversions
+
+    def test_pipeline_matrices_match_the_closed_determinant(self):
+        # Step (e) of pipeline_divisors: det M = (-1)**(n-1) * n**(d-1), at
+        # orders up to 150 that the random matrices above do not reach.
+        sets = [(n, n, (1,) * n) for n in range(2, 41)] + FAMILY_AND_WIDE_SETS[26:]
+        assert max(n for n, _, _ in sets) == 151
+        for n, d, weights in sets:
+            m = pipeline_matrix(validate_params(n, d, weights))
+            assert m.first_column is None
+            assert determinant(m) == pipeline_determinant(n, d), (n, d, weights)
 
 
 class TestPfaffian:

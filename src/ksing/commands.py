@@ -23,6 +23,17 @@ def __getattr__(name):
     return _bind(globals(), name)
 
 
+#: ``compute`` refuses n * d above MAX_ND, and d above FAMILY_MAX_D for the
+#: family source, whose dense Smith form grows as d**3 on growing entries:
+#: the slowest inputs under either cap take a few seconds (see README).
+MAX_ND = 100_000
+FAMILY_MAX_D = 64
+
+
+class ComputeTooLarge(InputError):
+    """The parameters exceed ``compute``'s size cap."""
+
+
 def _parse_weights(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
@@ -64,11 +75,14 @@ def _print_matrix(m, indent: str = "  ") -> None:
 
 
 def _cmd_compute(args) -> int:
-    report = ktheory.compute_ktheory(
-        _params_from_args(args),
-        _coeff_from_args(args),
-        _SOURCE_BY_ALIAS[args.source],
-    )
+    params, coeff = _params_from_args(args), _coeff_from_args(args)
+    source = _SOURCE_BY_ALIAS[args.source]
+    nd = params.n * params.d
+    if nd > MAX_ND:
+        raise ComputeTooLarge(f"n * d = {nd} is above compute's cap of {MAX_ND}")
+    if source == "closed-form-family" and params.d > FAMILY_MAX_D:
+        raise ComputeTooLarge(f"d = {params.d} is above the family cap of {FAMILY_MAX_D}")
+    report = ktheory.compute_ktheory(params, coeff, source)
     if args.format == "json":
         _emit_json(report.to_json_dict())
         return 0
@@ -79,8 +93,6 @@ def _cmd_compute(args) -> int:
         f"  (l = {report.coefficient.l}, nu = {report.coefficient.nu})"
     )
     print(f"matrix source: {report.matrix_source}")
-    print("matrix M:")
-    _print_matrix(report.matrix)
     print(f"det(M) = {_det_m(p, report.matrix_source, report.matrix)}")
     print(f"divisors: {', '.join(map(str, report.divisors))}")
     print(f"K_i, i >= 0 even: {report.even_group}")

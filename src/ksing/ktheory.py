@@ -140,11 +140,10 @@ class KTheoryReport(NamedTuple):
 
     def to_json_dict(self) -> dict:
         return {
-            "schema_version": 1,
+            "schema_version": 2,
             "params": self.params.to_json_dict(),
             "coefficient": self.coefficient._asdict(),
             "matrix_source": self.matrix_source,
-            "matrix": self.matrix.to_lists(),
             "divisors": list(self.divisors),
             "even_group": list(self.even_group.invariant_factors),
             "odd_group": list(self.odd_group.invariant_factors),
@@ -155,13 +154,13 @@ class KTheoryReport(NamedTuple):
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "KTheoryReport":
-        p = payload["params"]
-        c = payload["coefficient"]
+        p, c = payload["params"], payload["coefficient"]
+        params = validate_params(p["n"], p["d"], p["weights"])
         return cls(
-            params=validate_params(p["n"], p["d"], p["weights"]),
+            params=params,
             coefficient=validate_prime_power(c["l"], c["nu"]),
             matrix_source=payload["matrix_source"],
-            matrix=IntMatrix(payload["matrix"]),
+            matrix=matrix_from_source(params, payload["matrix_source"]),
             divisors=tuple(payload["divisors"]),
             even_group=FiniteAbelianGroup(tuple(payload["even_group"])),
             odd_group=FiniteAbelianGroup(tuple(payload["odd_group"])),
@@ -314,10 +313,8 @@ def pipeline_divisors(n: int, d: int) -> tuple[int, ...]:
             block = smith_normal_form(
                 IntMatrix.lower_toeplitz([math.comb(l, i) for i in range(1, d)])
             )
-        else:  # (k): level 1 is (i) raised by v - 1; levels 2..v go before it
-            a, r = divmod(m, l - 1)
-            block = (l ** (a + v - 1),) * (l - 1 - r) + (l ** (a + v),) * r
-            c, s = l, v - 2  # c = l**(i-1) and s = v - i at level i
+        else:  # (k): levels 1..v, each prepended; level 1 is (i) raised by v - 1
+            block, c, s = (), 1, v - 1  # c = l**(i-1) and s = v - i at level i
             while s >= 0 and c <= m:
                 a, r = divmod(m - c + 1, c * (l - 1))
                 low = (l ** (s + a),) * (c * (l - 1) - r) if a else ()
@@ -395,8 +392,8 @@ def compute_ktheory(
     """Full report: matrix, divisors, even/odd groups, corollary notes.
 
     The pipeline source takes its divisors from pipeline_divisors, and its
-    M builds its rows only when read: ``ksing compute`` prints them, ``ksing
-    sweep`` never reads them.  The other sources take the Smith form of M.
+    M builds its rows only when read, which neither ``ksing compute`` nor
+    ``ksing sweep`` does.  The other sources take the Smith form of M.
     """
     m = matrix_from_source(params, source)
     if source == "theorem-pipeline":

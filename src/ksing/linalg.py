@@ -17,9 +17,9 @@ refuse any other matrix with ValueError.  A Cartan matrix is such a C, and
 C^-1 is lower Toeplitz too, with first column the coefficients of
 prod_j (1 - t^a_j): at most z <= 2^d nonzeros however large n is.  So the
 inverse solves that column only, in O(k * z).  C, C^-1 and M build their
-rows on the first read of ``entries``: M's where ``ksing compute`` and
-``matrix`` print it, ``snf`` reduces it and ``verify-paper`` compares it,
-never in ``ksing sweep``; those of C^-1 are never read.
+rows on the first read of ``entries``: M's where ``ksing matrix`` prints
+it, ``snf`` reduces it and ``verify-paper`` compares it, never in ``ksing
+compute`` or ``sweep``; those of C^-1 are never read.
 
 smith_normal_form returns the divisors of a square nonsingular matrix
 with bounded entries: its content c divided out, then, unless
@@ -226,7 +226,7 @@ def theorem_matrix(c: IntMatrix, d: int) -> IntMatrix:
     of p_0 * q_0.  So row i of M is row i - 1 shifted right by one plus
     sign * p_i times the z nonzeros of q: O(k^2) list copying and O(k * z)
     multiplications, with z <= 2^d for a Cartan matrix, made on the first
-    read of ``entries`` (``ksing compute``, ``matrix``, ``snf``, ``verify-paper``).
+    read of ``entries`` (``ksing matrix``, ``snf``, ``verify-paper``).
 
     >>> theorem_matrix(IntMatrix.lower_toeplitz([1, 3]), 3).to_lists()
     [[0, -3], [3, -9]]

@@ -81,7 +81,7 @@ def test_compute_json_round_trip(capsys):
     )
     assert code == 0
     payload = json.loads(out)
-    assert payload["schema_version"] == 1
+    assert payload["schema_version"] == 2
     report = KTheoryReport.from_json_dict(payload)
     assert report.to_json_dict() == payload
 
@@ -139,6 +139,56 @@ def test_compute_refuses_a_set_its_source_does_not_cover(capsys, source, n, d, w
         "--prime", "2", "--source", source,
     )
     assert (code, out, err) == (2, "", f"error: SourceUnavailable: {message}\n")
+
+
+def test_compute_prints_the_answer_and_not_m(capsys):
+    code, out, err = run_cli(capsys, "compute", *FIXTURE_ARGS, "--prime", "13")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[:7] == [
+        "n = 5, d = 3, weights = (1, 2, 2)",
+        "coefficients: Z/13  (l = 13, nu = 1)",
+        "matrix source: paper-fixture",
+        "det(M) = 26",
+        "divisors: 1, 1, 1, 26",
+        "K_i, i >= 0 even: Z/13",
+        "K_i, i >= 0 odd:  Z/13",
+    ]
+    code, out, _ = run_cli(capsys, "compute", *FIXTURE_ARGS, "--prime", "13", "--format", "json")
+    assert list(json.loads(out)) == [
+        "schema_version", "params", "coefficient", "matrix_source", "divisors",
+        "even_group", "odd_group", "negative_degrees", "corollary", "verification",
+    ]
+
+
+@pytest.mark.parametrize("fmt", ["pretty", "json"])
+def test_compute_leaves_the_rows_of_the_pipeline_m_unbuilt(capsys, monkeypatch, fmt):
+    # det M is in closed form and the divisors come from pipeline_divisors;
+    # M itself is what ``ksing matrix`` prints.
+    reports = []
+    compute = ksing.ktheory.compute_ktheory
+
+    def recording(*args):
+        reports.append(compute(*args))
+        return reports[-1]
+
+    monkeypatch.setattr(ksing.ktheory, "compute_ktheory", recording)
+    code, out, _ = run_cli(
+        capsys, "compute", "--n", "61", "--d", "2", "--weights", "1,60", "--prime", "61",
+        "--format", fmt,
+    )
+    assert code == 0 and out and len(reports) == 1
+    with pytest.raises(AttributeError):
+        IntMatrix.entries.__get__(reports[0].matrix)  # the slot, unset
+
+
+def test_compute_accepts_n_times_d_at_the_cap(capsys):
+    code, out, err = run_cli(
+        capsys, "compute", "--n", "50000", "--d", "2", "--weights", "1,49999", "--prime", "2",
+        "--format", "json",
+    )
+    assert 50000 * 2 == ksing.commands.MAX_ND
+    assert (code, err) == (0, "")
+    assert json.loads(out)["even_group"] == [2]
 
 
 def test_an_unknown_source_is_refused_by_name():
@@ -673,6 +723,31 @@ def test_sweep_skips_an_odd_d_at_an_even_n_at_once():
     )
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout == ",".join(ksing.cli._SWEEP_COLUMNS) + "\n"
+
+
+def test_compute_answers_a_large_n_without_printing_m():
+    # Printing the 5,002 rows of M took 31 s, 100 MB of stdout and a 2 GB peak.
+    proc = _run_module(
+        "-m", "ksing.cli", "compute", "--n", "5003", "--d", "3", "--weights", "1,1,5001",
+        "--prime", "2", "--exponent", "2", timeout=10,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert len(proc.stdout.encode()) < 64 * 1024
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # n = 2**40 + 1 ended in MemoryError, exit 3.
+        ("--n", "1099511627777", "--d", "3", "--weights", "1,1,1099511627775"),
+        ("--n", "33335", "--d", "3", "--weights", "1,1,33333"),  # n * d = 100,005
+        ("--source", "family", "--n", "65", "--d", "65", "--weights", ",".join("1" * 65)),
+    ],
+)
+def test_compute_refuses_input_past_its_cap(argv):
+    proc = _run_module("-m", "ksing.cli", "compute", *argv, "--prime", "2", timeout=10)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: ComputeTooLarge: ")
 
 
 def test_a_module_run_compiles_the_cli_once(capsys):

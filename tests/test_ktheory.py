@@ -304,8 +304,33 @@ class TestComputeKTheory:
     def test_report_json_round_trip(self):
         report = compute_ktheory(LOW_DIM_PARAMS, validate_prime_power(2, 2))
         payload = json.loads(json.dumps(report.to_json_dict()))
-        assert payload["schema_version"] == 1
+        assert payload["schema_version"] == 2
         assert KTheoryReport.from_json_dict(payload) == report
+
+    @pytest.mark.parametrize(
+        "params, source",
+        [
+            (validate_params(61, 2, (1, 60)), "theorem-pipeline"),
+            (validate_params(6, 6, (1,) * 6), "closed-form-family"),
+            (LOW_DIM_PARAMS, "paper-fixture"),
+        ],
+    )
+    def test_report_json_rebuilds_m_from_its_source(self, params, source):
+        report = compute_ktheory(params, validate_prime_power(3, 2), source)
+        payload = json.loads(json.dumps(report.to_json_dict()))
+        assert "matrix" not in payload
+        # A stray matrix key, as version 1 wrote it, is not read.
+        copy = KTheoryReport.from_json_dict({**payload, "matrix": [[0]]})
+        if source == "theorem-pipeline":
+            with pytest.raises(AttributeError):
+                IntMatrix.entries.__get__(copy.matrix)  # the slot, unset
+        assert copy == report
+
+    def test_report_json_whose_source_does_not_cover_its_params_is_refused(self):
+        payload = compute_ktheory(LOW_DIM_PARAMS, validate_prime_power(2, 1)).to_json_dict()
+        for source in ("closed-form-family", "no-such-source"):
+            with pytest.raises(SourceUnavailable):
+                KTheoryReport.from_json_dict({**payload, "matrix_source": source})
 
     def test_reports_are_immutable_values(self):
         report = compute_ktheory(LOW_DIM_PARAMS, validate_prime_power(5, 1))

@@ -276,13 +276,13 @@ PINNED = {
     ("cartan", "cartan_matrix"): ("(counts: 'list[int]') -> 'IntMatrix'", "0ae117130f6ce77d"),
     ("linalg", "smith_normal_form"): ("(m: 'IntMatrix') -> 'tuple[int, ...]'", "3a579202dfa01260"),
     ("linalg", "unipotent_inverse"): ("(m: 'IntMatrix') -> 'IntMatrix'", "2f4bc995475a2b01"),
-    ("linalg", "theorem_matrix"): ("(c: 'IntMatrix', d: 'int') -> 'IntMatrix'", "716b6a44c3b98de6"),
+    ("linalg", "theorem_matrix"): ("(c: 'IntMatrix', d: 'int') -> 'IntMatrix'", "ee69469f3010924f"),
     ("linalg", "determinant"): ("(m: 'IntMatrix') -> 'int'", "0d5e24957521e586"),
     ("ktheory", "pipeline_matrix"): ("(params: 'QuotientParams') -> 'IntMatrix'", "8aab5987b5759d3e"),
     ("ktheory", "compute_ktheory"): (
         "(params: 'QuotientParams', coeff: 'PrimePower', source: 'str' = 'theorem-pipeline')"
         " -> 'KTheoryReport'",
-        "5f132ec583050464",
+        "e026b4257b450620",
     ),
     ("quiver", "build_quiver"): ("(params: 'QuotientParams') -> 'Quiver'", "979994513c28fa0c"),
     ("quiver", "export_quiver"): ("(q: 'Quiver', format: 'str') -> 'str'", "bb23e7e2c36c4ca8"),

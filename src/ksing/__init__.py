@@ -77,6 +77,7 @@ from .linalg import (
 )
 from .params import (
     DimensionTooSmall,
+    ExponentTooLarge,
     NonPositiveExponent,
     NotPrime,
     PrimeOutOfRange,
@@ -102,6 +103,7 @@ __all__ = [
     "Arrow",
     "CorollaryNote",
     "DimensionTooSmall",
+    "ExponentTooLarge",
     "FiniteAbelianGroup",
     "InputError",
     "IntMatrix",

@@ -24,7 +24,7 @@ def __getattr__(name):
 
 
 class PathExplosion(InputError):
-    """Raw path enumeration exceeded the configured cap."""
+    """Brute-force path counting would pass its budget of class updates."""
 
 
 class NotHomogeneous(InputError):

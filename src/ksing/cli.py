@@ -131,12 +131,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also count path classes from the quiver's arrows and compare",
     )
-    cartan.add_argument(
-        "--bruteforce-cap",
-        type=int,
-        default=None,
-        help="raw path cap for --check-bruteforce (default 10000000)",
-    )
 
     matrix = commands.add_parser("matrix", help="the matrix M and its determinant")
     _add_params_flags(matrix)

@@ -24,14 +24,19 @@ def __getattr__(name):
 
 
 #: ``compute`` refuses n * d above MAX_ND, and d above FAMILY_MAX_D for the
-#: family source, whose dense Smith form grows as d**3 on growing entries:
-#: the slowest inputs under either cap take a few seconds (see README).
+#: family source, whose dense Smith form grows as d**3 on growing entries;
+#: ``matrix`` and ``snf`` refuse n * d above MATRIX_MAX_ND and SNF_MAX_ND,
+#: and ``verify-paper --fixture family`` a d above VERIFY_MAX_D.  The slowest
+#: inputs under each cap take a few seconds (see README).
 MAX_ND = 100_000
 FAMILY_MAX_D = 64
+MATRIX_MAX_ND = 4_000
+SNF_MAX_ND = 800
+VERIFY_MAX_D = 80
 
 
 class ComputeTooLarge(InputError):
-    """The parameters exceed ``compute``'s size cap."""
+    """The parameters exceed a single-set command's size cap."""
 
 
 def _parse_weights(text: str) -> tuple[int, ...]:
@@ -45,6 +50,12 @@ def _params_from_args(args) -> QuotientParams:
     if args.n is None or args.d is None or args.weights is None:
         raise InputError("--n, --d and --weights are required here")
     return validate_params(args.n, args.d, _parse_weights(args.weights))
+
+
+def _refuse_above(params: QuotientParams, cap: int, command: str) -> None:
+    nd = params.n * params.d
+    if nd > cap:
+        raise ComputeTooLarge(f"n * d = {nd} is above {command}'s cap of {cap}")
 
 
 def _coeff_from_args(args) -> PrimePower:
@@ -77,9 +88,7 @@ def _print_matrix(m, indent: str = "  ") -> None:
 def _cmd_compute(args) -> int:
     params, coeff = _params_from_args(args), _coeff_from_args(args)
     source = _SOURCE_BY_ALIAS[args.source]
-    nd = params.n * params.d
-    if nd > MAX_ND:
-        raise ComputeTooLarge(f"n * d = {nd} is above compute's cap of {MAX_ND}")
+    _refuse_above(params, MAX_ND, "compute")
     if source == "closed-form-family" and params.d > FAMILY_MAX_D:
         raise ComputeTooLarge(f"d = {params.d} is above the family cap of {FAMILY_MAX_D}")
     report = ktheory.compute_ktheory(params, coeff, source)
@@ -112,17 +121,13 @@ def _cmd_quiver(args) -> int:
 
 
 def _cmd_cartan(args) -> int:
-    cap = args.bruteforce_cap
-    if cap is not None and not args.check_bruteforce:
-        raise InputError("--bruteforce-cap applies only with --check-bruteforce")
     params = _params_from_args(args)
     counts = path_counts_gf(params)
     c = cartan_matrix(counts)
     checked = None
     if args.check_bruteforce:
-        cap = 10_000_000 if cap is None else cap
         this = sys.modules[__name__]
-        brute = this.path_counts_bruteforce(this.build_quiver(params), cap=cap)
+        brute = this.path_counts_bruteforce(this.build_quiver(params))
         checked = brute == counts
     if args.format == "json":
         payload = {
@@ -145,6 +150,7 @@ def _cmd_cartan(args) -> int:
 
 def _cmd_matrix(args) -> int:
     params = _params_from_args(args)
+    _refuse_above(params, MATRIX_MAX_ND, "matrix")
     source = _SOURCE_BY_ALIAS[args.source]
     m = ktheory.matrix_from_source(params, source)
     if args.format == "json":
@@ -166,6 +172,7 @@ def _cmd_matrix(args) -> int:
 
 def _cmd_snf(args) -> int:
     params = _params_from_args(args)
+    _refuse_above(params, SNF_MAX_ND, "snf")
     m = ktheory.matrix_from_source(params, _SOURCE_BY_ALIAS[args.source])
     u, d, v = sys.modules[__name__].smith_certificate(m)
     divisors = [d[i, i] for i in range(d.rows)]  # M is square
@@ -190,6 +197,8 @@ def _cmd_snf(args) -> int:
 
 
 def _cmd_verify_paper(args) -> int:
+    if args.fixture == "family" and args.d is not None and args.d > VERIFY_MAX_D:
+        raise ComputeTooLarge(f"d = {args.d} is above verify-paper's cap of {VERIFY_MAX_D}")
     report = ktheory.verify_paper(args.fixture, args.d)
     if args.format == "json":
         _emit_json(report.to_json_dict())

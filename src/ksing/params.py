@@ -44,6 +44,17 @@ class PrimeOutOfRange(InputError):
     """Primality is decided deterministically only for l < 2**64."""
 
 
+class ExponentTooLarge(InputError):
+    """nu * l.bit_length(), a bound on the bits of q = l**nu, exceeds
+    MAX_MODULUS_BITS."""
+
+
+#: The most bits validate_prime_power lets q = l**nu have, counted as
+#: nu * l.bit_length().  Past nu = v_l(det M) no group changes; under
+#: compute's cap that nu takes at most 4,080 of these bits (n = d = 256).
+MAX_MODULUS_BITS = 65_536
+
+
 class QuotientParams(NamedTuple):
     """Validated data (n, d, a_1..a_d) of a cyclic quotient singularity."""
 
@@ -132,7 +143,7 @@ def _is_prime_u64(m: int) -> bool:
 
 
 def validate_prime_power(l, nu) -> PrimePower:
-    """Validate l prime and nu >= 1; return the exact modulus q = l**nu."""
+    """Validate l prime, nu >= 1 and the size of q; return q = l**nu exactly."""
     l = operator.index(l)
     nu = operator.index(nu)
     if nu < 1:
@@ -143,6 +154,11 @@ def validate_prime_power(l, nu) -> PrimePower:
         )
     if not _is_prime_u64(l):
         raise NotPrime(f"coefficient base {l} is not prime")
+    if nu * l.bit_length() > MAX_MODULUS_BITS:
+        raise ExponentTooLarge(
+            f"exponent nu = {nu} is too large for l = {l}: nu * l.bit_length() ="
+            f" {nu * l.bit_length()} is above {MAX_MODULUS_BITS}"
+        )
     return PrimePower(l, nu, l**nu)
 
 

@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+import ksing.verification
 from ksing import (
     Arrow,
     InputError,
@@ -58,10 +59,11 @@ def test_bruteforce_three_parallel_arrows():
     assert counts == [1, 3]
 
 
-def test_bruteforce_cap():
+def test_bruteforce_cap(monkeypatch):
     q = build_quiver(validate_params(8, 8, [1] * 8))
-    with pytest.raises(PathExplosion):
-        path_counts_bruteforce(q, cap=5)
+    monkeypatch.setattr(ksing.verification, "MAX_CLASS_UPDATES", 5)
+    with pytest.raises(PathExplosion, match="more than 5 class updates"):
+        path_counts_bruteforce(q)
 
 
 def test_bruteforce_rejects_non_homogeneous_quiver():
@@ -85,7 +87,7 @@ def test_bruteforce_rejects_non_homogeneous_quiver():
 def test_bruteforce_rejects_arrows_that_do_not_go_up(arrows):
     q = Quiver(3, tuple(Arrow(*a) for a in arrows), ())
     with pytest.raises(InputError, match="must go up") as excinfo:
-        path_counts_bruteforce(q, cap=1000)
+        path_counts_bruteforce(q)
     assert type(excinfo.value) is InputError
 
 
@@ -95,38 +97,35 @@ def test_bruteforce_refuses_a_quiver_without_vertices():
     assert type(excinfo.value) is InputError
 
 
-def test_bruteforce_refuses_a_negative_cap_before_reading_arrows():
-    # Without arrows no raw path is ever counted against the cap, and an
-    # arrow that goes down would be refused for itself: the cap comes first.
-    for q in (
-        build_quiver(validate_params(2, 2, [1, 1])),
-        Quiver(3, (Arrow(2, 1, 1),), ()),
-    ):
-        with pytest.raises(InputError, match="cap must be nonnegative") as excinfo:
-            path_counts_bruteforce(q, cap=-5)
-        assert type(excinfo.value) is InputError
-    assert path_counts_bruteforce(build_quiver(validate_params(2, 2, [1, 1])), cap=0) == [1]
-
-
-def test_bruteforce_cap_is_exact_at_the_raw_path_count():
-    # cap counts nonempty raw paths over all start vertices, so the count
-    # must pass at cap = R and raise at cap = R - 1; n = 2 has R = 0, and
-    # a negative cap is never checked
+def test_bruteforce_budget_is_exact_at_the_class_update_count(monkeypatch):
+    # Each arrow (s, t) carries the P(s - start) classes of its source, for
+    # every start at or below s, so the count must pass at W, their sum, and
+    # raise at W - 1; n = 2 has no arrows.
     for params in [p for p in all_valid_params(7) if p.n > 2]:
         q = build_quiver(params)
-        raw = sum(len(seqs) for seqs in raw_paths_by_cell(q).values())
-        raw -= q.vertex_count
-        assert path_counts_bruteforce(q, cap=raw) == path_counts_gf(params)
+        counts = path_counts_gf(params)
+        w = sum(
+            counts[s - start]
+            for start in range(1, params.n)
+            for s, _, _ in q.arrows
+            if s >= start
+        )
+        monkeypatch.setattr(ksing.verification, "MAX_CLASS_UPDATES", w)
+        assert path_counts_bruteforce(q) == counts
+        monkeypatch.setattr(ksing.verification, "MAX_CLASS_UPDATES", w - 1)
         with pytest.raises(PathExplosion):
-            path_counts_bruteforce(q, cap=raw - 1)
+            path_counts_bruteforce(q)
 
 
-def test_bruteforce_cap_fails_fast():
-    q = build_quiver(validate_params(12, 12, [1] * 12))
+def test_bruteforce_cap_fails_fast(monkeypatch):
+    # Unit weights at n = 14 make about 10**8 class updates in all; the
+    # budget stops the walk after its first 10**5.
+    q = build_quiver(validate_params(14, 14, [1] * 14))
+    monkeypatch.setattr(ksing.verification, "MAX_CLASS_UPDATES", 10**5)
     began = time.perf_counter()
     with pytest.raises(PathExplosion):
         path_counts_bruteforce(q)
-    assert time.perf_counter() - began < 2.0
+    assert time.perf_counter() - began < 0.5
 
 
 def test_oracle_equivalence_small():
@@ -137,10 +136,10 @@ def test_oracle_equivalence_small():
         assert gf == brute, params
 
 
-def _outcome(route, q, cap):
+def _outcome(route, q, *cap):
     """The counts, or the type and message of what the route raised."""
     try:
-        return route(q, cap)
+        return route(q, *cap)
     except InputError as exc:
         return type(exc), str(exc)
 
@@ -162,12 +161,12 @@ def _agreement_quivers():
     yield Quiver(0, (), ())
 
 
-@pytest.mark.parametrize("cap", [10_000_000, 40])
-def test_integer_classes_agree_with_sorted_letter_tuples(cap):
-    # Same counts or the same refusal, including where a cap of 40 stops
-    # most of the quivers part way through the walk.
+def test_integer_classes_agree_with_sorted_letter_tuples():
+    # Same counts or the same refusal.  The oracle's raw-path cap is lifted
+    # past every raw path here (unit weights at n = 10 have 1.2 * 10**8),
+    # and no quiver here comes near the budget of class updates.
     outcomes = [
-        (_outcome(path_counts_bruteforce, q, cap), _outcome(path_counts_sorted_tuples, q, cap))
+        (_outcome(path_counts_bruteforce, q), _outcome(path_counts_sorted_tuples, q, 2**63))
         for q in _agreement_quivers()
     ]
     assert [i for i, (got, want) in enumerate(outcomes) if got != want] == []

@@ -16,6 +16,7 @@ import ksing.cli
 import ksing.commands
 import ksing.ktheory
 import ksing.linalg
+import ksing.verification
 from ksing import (
     IntMatrix,
     KTheoryReport,
@@ -264,48 +265,40 @@ def test_cartan_json(capsys, check):
     assert payload.get("bruteforce_agrees", "absent") == (True if check else "absent")
 
 
-def test_cartan_bruteforce_cap_exit_2(capsys):
-    code, _, err = run_cli(
-        capsys, "cartan", "--n", "8", "--d", "8", "--weights", "1,1,1,1,1,1,1,1",
-        "--check-bruteforce", "--bruteforce-cap", "3",
+def test_cartan_bruteforce_check_counts_past_two_billion_raw_paths(capsys):
+    # 2,147,483,587 raw paths, 8,991 class updates: the old raw-path cap
+    # refused this input with exit 2.
+    code, out, err = run_cli(
+        capsys, "cartan", "--n", "31", "--d", "3", "--weights", "1,1,29", "--check-bruteforce"
     )
-    assert code == 2
-    assert "PathExplosion" in err
+    assert (code, err) == (0, "")
+    assert "brute-force enumeration agrees: yes" in out
 
 
-@pytest.mark.parametrize("n, d, weights", [("2", "2", "1,1"), ("5", "3", "1,2,2")])
-def test_cartan_refuses_a_negative_bruteforce_cap(capsys, n, d, weights):
-    code, _, err = run_cli(
-        capsys, "cartan", "--n", n, "--d", d, "--weights", weights,
-        "--check-bruteforce", "--bruteforce-cap", "-5",
+def test_cartan_bruteforce_cap_exit_2():
+    # Unit weights at n = 13 need 25,496,328 class updates: refused after
+    # the first 10**7, about 3 s of work.
+    proc = _run_module(
+        "-m", "ksing.cli", "cartan", "--n", "13", "--d", "13", "--weights", ",".join("1" * 13),
+        "--check-bruteforce", timeout=10,
     )
-    assert code == 2
-    assert "cap must be nonnegative" in err
-
-
-def test_cartan_refuses_a_bruteforce_cap_without_the_check(capsys):
-    for cap in ("0", "10000000"):
-        code, out, err = run_cli(
-            capsys, "cartan", "--n", "5", "--d", "3", "--weights", "1,2,2",
-            "--bruteforce-cap", cap,
-        )
-        assert code == 2
-        assert out == ""
-        assert "InputError" in err and "--check-bruteforce" in err
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: PathExplosion: more than 10000000 class updates\n"
 
 
 def test_cartan_check_caps_at_ten_million_by_default(capsys, monkeypatch):
-    caps = []
+    quivers = []
     brute = ksing.commands.path_counts_bruteforce
     monkeypatch.setattr(
-        ksing.commands, "path_counts_bruteforce", lambda q, cap: caps.append(cap) or brute(q, cap)
+        ksing.commands, "path_counts_bruteforce", lambda q: quivers.append(q) or brute(q)
     )
     code, out, _ = run_cli(
         capsys, "cartan", "--n", "5", "--d", "3", "--weights", "1,2,2", "--check-bruteforce"
     )
     assert code == 0
     assert "agrees: yes" in out
-    assert caps == [10_000_000]
+    assert len(quivers) == 1
+    assert ksing.verification.MAX_CLASS_UPDATES == 10_000_000
 
 
 def test_matrix_command(capsys):
@@ -750,6 +743,53 @@ def test_compute_refuses_input_past_its_cap(argv):
     assert proc.stderr.startswith("error: ComputeTooLarge: ")
 
 
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        # n * d = 4,006; n = 5003 ended in MemoryError, exit 3.
+        (("matrix", "--n", "2003", "--d", "2", "--weights", "1,2002"), "ComputeTooLarge"),
+        (("matrix", "--n", "5003", "--d", "3", "--weights", "1,1,5001"), "ComputeTooLarge"),
+        (("snf", "--n", "401", "--d", "2", "--weights", "1,400"), "ComputeTooLarge"),
+        (
+            ("snf", "--source", "family", "--n", "29", "--d", "29", "--weights", ",".join("1" * 29)),
+            "ComputeTooLarge",
+        ),
+        # d = 300 did not finish in 20 s.
+        (("verify-paper", "--fixture", "family", "--d", "81"), "ComputeTooLarge"),
+        (("verify-paper", "--fixture", "family", "--d", "300"), "ComputeTooLarge"),
+        # nu = 10**7 did not finish in 40 s.
+        (
+            ("compute", "--n", "5", "--d", "3", "--weights", "1,2,2", "--prime", "2",
+             "--exponent", "32769"),
+            "ExponentTooLarge",
+        ),
+        (("sweep", "--n", "3-5", "--primes", "2", "--exponent", "10000000"), "ExponentTooLarge"),
+    ],
+)
+def test_commands_refuse_input_past_their_caps(argv, error):
+    proc = _run_module("-m", "ksing.cli", *argv, timeout=10)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith(f"error: {error}: ")
+
+
+def test_size_caps_accept_the_largest_input(capsys, monkeypatch):
+    # Only the size checks are under test, so the matrix and the report are
+    # replaced by small ones.
+    assert 2000 * 2 == ksing.commands.MATRIX_MAX_ND
+    assert 400 * 2 == ksing.commands.SNF_MAX_ND
+    assert ksing.commands.VERIFY_MAX_D == 80
+    report = ksing.verify_paper("family", 3)
+    monkeypatch.setattr(ksing.ktheory, "matrix_from_source", lambda params, source: IntMatrix([[3]]))
+    monkeypatch.setattr(ksing.ktheory, "verify_paper", lambda fixture, d: report)
+    for argv in (
+        ("matrix", "--n", "2000", "--d", "2", "--weights", "1,1999"),
+        ("snf", "--n", "400", "--d", "2", "--weights", "1,399"),
+        ("verify-paper", "--fixture", "family", "--d", "80"),
+    ):
+        code, _, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+
+
 def test_a_module_run_compiles_the_cli_once(capsys):
     # Under ``python -m ksing.cli`` the module runs as __main__, and
     # ksing.commands imports ksing.cli: one module object serves both.
@@ -804,8 +844,13 @@ def test_sweep_rows_come_out_in_grid_order(capsys):
         ("snf", "--fixture", "paper-low-dim"),
         ("sweep", "--n", "3-5", "--primes", "2", "--source", "family"),
         ("sweep", "--n", "3-5", "--primes", "2", "--source", "pipeline"),
+        ("cartan", "--n", "5", "--d", "3", "--weights", "1,2,2", "--check-bruteforce",
+         "--bruteforce-cap", "5"),
     ],
-    ids=["sweep-jobs", "snf-fixture", "sweep-source-family", "sweep-source-pipeline"],
+    ids=[
+        "sweep-jobs", "snf-fixture", "sweep-source-family", "sweep-source-pipeline",
+        "cartan-bruteforce-cap",
+    ],
 )
 def test_removed_flags_exit_2(capsys, argv):
     # The sweep runs in the calling process and on the pipeline only, so it

@@ -4,8 +4,10 @@ from math import gcd
 
 import pytest
 
+import ksing.params
 from ksing import (
     DimensionTooSmall,
+    ExponentTooLarge,
     InputError,
     NonPositiveExponent,
     NotPrime,
@@ -130,6 +132,18 @@ def test_prime_power_errors():
             validate_prime_power(composite, 1)
     with pytest.raises(PrimeOutOfRange):
         validate_prime_power(2**64 + 13, 1)
+
+
+@pytest.mark.parametrize("l", [2, 3, 13, 2**61 - 1, 2**64 - 59])
+def test_prime_power_refuses_a_modulus_past_its_bit_bound(l):
+    # The bound is nu * l.bit_length() <= 65,536, checked before l**nu is
+    # built: nu = 10**18 would never finish.
+    top = ksing.params.MAX_MODULUS_BITS // l.bit_length()
+    assert validate_prime_power(l, top).q == l**top
+    for nu in (top + 1, 10**18):
+        with pytest.raises(ExponentTooLarge, match=f"exponent nu = {nu} is too large"):
+            validate_prime_power(l, nu)
+    assert ksing.params.MAX_MODULUS_BITS == 65_536
 
 
 def test_large_prime_accepted():

@@ -287,9 +287,7 @@ PINNED = {
     ("quiver", "build_quiver"): ("(params: 'QuotientParams') -> 'Quiver'", "979994513c28fa0c"),
     ("quiver", "export_quiver"): ("(q: 'Quiver', format: 'str') -> 'str'", "bb23e7e2c36c4ca8"),
     ("quiver", "quiver_from_json"): ("(text: 'str') -> 'Quiver'", "9b0a644cc2d212c7"),
-    ("cartan", "path_counts_bruteforce"): (
-        "(q: 'Quiver', cap: 'int' = 10000000) -> 'list[int]'", "fa2311781ecd4cf7"
-    ),
+    ("cartan", "path_counts_bruteforce"): ("(q: 'Quiver') -> 'list[int]'", "63010d74c30fea39"),
     ("linalg", "pfaffian"): ("(m: 'IntMatrix') -> 'int'", "7ecd26b2818086c6"),
     ("linalg", "smith_certificate"): (
         "(m: 'IntMatrix') -> 'tuple[IntMatrix, IntMatrix, IntMatrix]'", "9370d5860855c327"

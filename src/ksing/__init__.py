@@ -4,7 +4,8 @@ Pipeline: validated parameters -> truncated quiver -> path-count (Cartan)
 matrix -> the integer matrix M -> kernel/cokernel over Z/l^nu, plus
 closed-form family matrices, a published reference fixture, and a
 verification mode that reports discrepancies between the two.  The result
-types (QuotientParams, KTheoryReport, ...) are immutable named tuples.
+types (QuotientParams, KTheoryReport, ...) are immutable named tuples; a
+KTheoryReport stores its group once and reads the rest of the answer off it.
 
 The quiver, the verification code and the general Smith eliminations,
 which no ``compute`` or ``sweep`` answer runs, load on first use, and so do
@@ -26,9 +27,8 @@ _LATE = {
         "quiver",
     ),
     **dict.fromkeys(
-        ("VerificationReport", "corollary_analysis", "family_matrix_closed_form",
-         "mod_q_kernel_cokernel", "multiset_number", "path_counts_bruteforce", "pfaffian",
-         "verify_paper"),
+        ("VerificationReport", "family_matrix_closed_form", "mod_q_kernel_cokernel",
+         "multiset_number", "path_counts_bruteforce", "pfaffian", "verify_paper"),
         "verification",
     ),
     **dict.fromkeys(("_divisors_mod", "smith_certificate"), "smith"),
@@ -133,7 +133,6 @@ __all__ = [
     "build_quiver",
     "cartan_matrix",
     "compute_ktheory",
-    "corollary_analysis",
     "determinant",
     "export_quiver",
     "family_matrix_closed_form",

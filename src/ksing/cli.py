@@ -17,7 +17,7 @@ import argparse
 import os
 import sys
 from collections.abc import Iterator
-from itertools import chain
+from itertools import chain, cycle
 
 from . import _bind, ktheory
 from .errors import InputError
@@ -39,6 +39,21 @@ def __getattr__(name):
 
 class RangeTooLarge(InputError):
     """The sweep grid exceeds the configured cell cap."""
+
+
+#: ``compute`` and ``sweep`` refuse a set with n * d above MAX_ND; the
+#: slowest sets under it take a few seconds (see README).
+MAX_ND = 100_000
+
+
+class ComputeTooLarge(InputError):
+    """The parameters exceed a command's size cap."""
+
+
+def _refuse_above(params: QuotientParams, cap: int, command: str) -> None:
+    nd = params.n * params.d
+    if nd > cap:
+        raise ComputeTooLarge(f"n * d = {nd} is above {command}'s cap of {cap}")
 
 
 _SOURCE_BY_ALIAS = {
@@ -215,7 +230,7 @@ def _sweep_rows(sets: list[QuotientParams], coeffs: list[PrimePower]) -> Iterato
                 text,
                 text,
                 group.is_trivial,
-                report.corollary_notes[0].conclusion,
+                "ii" if group.is_trivial else "i",
             )
 
 
@@ -263,6 +278,9 @@ def _cmd_sweep(args) -> int:
                 f"sweep grid has more than {args.max_cells} cells;"
                 f" raise --max-cells to proceed"
             )
+    # After the cell count, so that an oversized grid is refused as such.
+    for params in sets:
+        _refuse_above(params, MAX_ND, "sweep")
     rows = _sweep_rows(sets, coeffs)
     if args.format == "json":
         rows = [dict(zip(_SWEEP_COLUMNS, row)) for row in rows]
@@ -272,8 +290,14 @@ def _cmd_sweep(args) -> int:
 
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(_SWEEP_COLUMNS)
-    # The vanishing column, second to last, is spelled as in JSON.
-    writer.writerows((*r[:-2], "true" if r[-2] else "false", r[-1]) for r in rows)
+    # Each set's rows come in coeffs order, so q, column 5, is put in decimal
+    # once per coefficient, not once a row; the vanishing column, second to
+    # last, is spelled as in JSON.
+    q_texts = cycle([str(coeff.q) for coeff in coeffs])
+    writer.writerows(
+        (*r[:5], q, *r[6:-2], "true" if r[-2] else "false", r[-1])
+        for r, q in zip(rows, q_texts)
+    )
     return 0
 
 

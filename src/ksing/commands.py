@@ -12,7 +12,7 @@ import sys
 
 from . import _bind, ktheory
 from .cartan import cartan_matrix, path_counts_gf
-from .cli import _SOURCE_BY_ALIAS, _emit_json
+from .cli import MAX_ND, _SOURCE_BY_ALIAS, ComputeTooLarge, _emit_json, _refuse_above
 from .errors import InputError
 from .linalg import determinant
 from .params import PrimePower, QuotientParams, validate_params, validate_prime_power
@@ -23,20 +23,15 @@ def __getattr__(name):
     return _bind(globals(), name)
 
 
-#: ``compute`` refuses n * d above MAX_ND, and d above FAMILY_MAX_D for the
-#: family source, whose dense Smith form grows as d**3 on growing entries;
+#: ``compute`` refuses n * d above ``cli.MAX_ND`` and d above FAMILY_MAX_D for
+#: the family source, whose dense Smith form grows as d**3 on growing entries;
 #: ``matrix`` and ``snf`` refuse n * d above MATRIX_MAX_ND and SNF_MAX_ND,
 #: and ``verify-paper --fixture family`` a d above VERIFY_MAX_D.  The slowest
 #: inputs under each cap take a few seconds (see README).
-MAX_ND = 100_000
 FAMILY_MAX_D = 64
 MATRIX_MAX_ND = 4_000
 SNF_MAX_ND = 800
 VERIFY_MAX_D = 80
-
-
-class ComputeTooLarge(InputError):
-    """The parameters exceed a single-set command's size cap."""
 
 
 def _parse_weights(text: str) -> tuple[int, ...]:
@@ -50,12 +45,6 @@ def _params_from_args(args) -> QuotientParams:
     if args.n is None or args.d is None or args.weights is None:
         raise InputError("--n, --d and --weights are required here")
     return validate_params(args.n, args.d, _parse_weights(args.weights))
-
-
-def _refuse_above(params: QuotientParams, cap: int, command: str) -> None:
-    nd = params.n * params.d
-    if nd > cap:
-        raise ComputeTooLarge(f"n * d = {nd} is above {command}'s cap of {cap}")
 
 
 def _coeff_from_args(args) -> PrimePower:

@@ -4,18 +4,19 @@ The groups in nonnegative even (resp. odd) degree are the cokernel
 (resp. kernel) of the integer matrix M = (-1)**(d-1) C (C^-1)^T - Id
 acting on (Z/q)**(n-1); all negative-degree groups vanish.  Kernel and
 cokernel are read off the integral Smith normal form: both are isomorphic
-to the direct sum of Z/gcd(d_i, q) over the divisors d_i (gcd(0, q) = q).
-The divisors of the pipeline matrix depend only on (n, d): a closed form
-gives the part of each prime l <= d - 1 dividing n, and the content of a
-(d-1)x(d-1) Toeplitz matrix the rest (``pipeline_divisors``).
+to the direct sum of Z/gcd(d_i, q) over the divisors d_i (gcd(0, q) = q),
+which a KTheoryReport stores once.  The divisors of the pipeline matrix
+depend only on (n, d): a closed form gives the part of each prime
+l <= d - 1 dividing n, and the content of a (d-1)x(d-1) Toeplitz matrix
+the rest (``pipeline_divisors``).
 
 Besides the quiver pipeline, M can be taken from the closed-form family
 matrices for n = d with all weights 1, or from the immutable reference
 matrix shipped for (n, d, a) = (5, 3, (1, 2, 2)) exactly as printed in the
 original published computation.  ``verify_paper`` compares those sources
 against the pipeline and reports agreement or a structured discrepancy;
-it never reconciles them silently.  It, VerificationReport, the closed form,
-mod_q_kernel_cokernel and corollary_analysis load on first use.
+it never reconciles them silently.  It, VerificationReport, the closed form
+and mod_q_kernel_cokernel load on first use.
 """
 
 from __future__ import annotations
@@ -128,15 +129,27 @@ class CorollaryNote(NamedTuple):
 
 
 class KTheoryReport(NamedTuple):
+    """The answer for Z/q coefficients, stored once as ``even_group``; the
+    odd and negative degrees and the corollary notes are read off it."""
+
     params: QuotientParams
     coefficient: PrimePower
     matrix_source: str
     matrix: IntMatrix
     divisors: tuple[int, ...]
     even_group: FiniteAbelianGroup
-    odd_group: FiniteAbelianGroup
-    negative_degrees: FiniteAbelianGroup = TRIVIAL_GROUP
-    corollary_notes: tuple[CorollaryNote, ...] = ()
+
+    @property
+    def odd_group(self) -> FiniteAbelianGroup:
+        return self.even_group
+
+    @property
+    def negative_degrees(self) -> FiniteAbelianGroup:
+        return TRIVIAL_GROUP
+
+    @property
+    def corollary_notes(self) -> tuple[CorollaryNote, ...]:
+        return _corollary_notes(self.coefficient.q, self.even_group)
 
     def to_json_dict(self) -> dict:
         return {
@@ -163,14 +176,6 @@ class KTheoryReport(NamedTuple):
             matrix=matrix_from_source(params, payload["matrix_source"]),
             divisors=tuple(payload["divisors"]),
             even_group=FiniteAbelianGroup(tuple(payload["even_group"])),
-            odd_group=FiniteAbelianGroup(tuple(payload["odd_group"])),
-            negative_degrees=FiniteAbelianGroup(
-                tuple(payload["negative_degrees"])
-            ),
-            corollary_notes=tuple(
-                CorollaryNote(n["conclusion"], n["parity"], n["statement"])
-                for n in payload["corollary"]
-            ),
         )
 
 
@@ -354,34 +359,27 @@ def matrix_from_source(params: QuotientParams, source: str) -> IntMatrix:
     )
 
 
-def _corollary_notes(
-    q: int, even: FiniteAbelianGroup, odd: FiniteAbelianGroup, integral_hints=None
-) -> tuple[CorollaryNote, ...]:
-    extra = f" ({integral_hints})" if integral_hints else ""
-    notes = []
-    if even.is_trivial and odd.is_trivial:
-        notes.append(
+def _corollary_notes(q: int, group: FiniteAbelianGroup) -> tuple[CorollaryNote, ...]:
+    if group.is_trivial:
+        return (
             CorollaryNote(
                 "ii",
                 None,
                 f"every mod-{q} K-group in degree >= 0 vanishes, so the"
                 f" integral K-groups in degrees >= 0 are uniquely"
-                f" {q}-divisible{extra}",
-            )
+                f" {q}-divisible",
+            ),
         )
-        return tuple(notes)
-    for parity, group in (("even", even), ("odd", odd)):
-        if not group.is_trivial:
-            notes.append(
-                CorollaryNote(
-                    "i",
-                    parity,
-                    f"the mod-{q} K-groups in {parity} degrees >= 0 are"
-                    f" {group}, so for every {parity} i >= 0 the integral"
-                    f" K-groups K_i and K_(i-1) cannot both vanish{extra}",
-                )
-            )
-    return tuple(notes)
+    return tuple(
+        CorollaryNote(
+            "i",
+            parity,
+            f"the mod-{q} K-groups in {parity} degrees >= 0 are"
+            f" {group}, so for every {parity} i >= 0 the integral"
+            f" K-groups K_i and K_(i-1) cannot both vanish",
+        )
+        for parity in ("even", "odd")
+    )
 
 
 def compute_ktheory(
@@ -401,14 +399,11 @@ def compute_ktheory(
         orders = divisors[params.n - params.d:]  # the leading ones add nothing
     else:
         divisors = orders = smith_normal_form(m)
-    group = _groups_from_divisors(orders, coeff.q)
     return KTheoryReport(
         params=params,
         coefficient=coeff,
         matrix_source=source,
         matrix=m,
         divisors=divisors,
-        even_group=group,
-        odd_group=group,
-        corollary_notes=_corollary_notes(coeff.q, group, group),
+        even_group=_groups_from_divisors(orders, coeff.q),
     )

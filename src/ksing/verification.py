@@ -1,10 +1,10 @@
 """The code that checks answers: no ``compute`` or ``sweep`` answer runs it.
 
 Here are ``linalg``'s Pfaffian, ``cartan``'s brute-force path counts, and
-``ktheory``'s closed-form family, mod-q kernel and cokernel, corollary
-notes and ``verify_paper``.  ``import ksing`` does not load this module:
-its names load on first use.  The Smith certificate lives in
-``ksing.smith``, so that the first ``verify_paper`` does not compile it.
+``ktheory``'s closed-form family, mod-q kernel and cokernel, and
+``verify_paper``.  ``import ksing`` does not load this module: its names
+load on first use.  The Smith certificate lives in ``ksing.smith``, so
+that the first ``verify_paper`` does not compile it.
 
 >>> import ksing, ksing.linalg
 >>> ksing.pfaffian is ksing.linalg.pfaffian is pfaffian
@@ -23,10 +23,7 @@ from .ktheory import (
     LOW_DIM_PARAMS,
     LOW_DIM_PRINTED_DET,
     LOW_DIM_PRINTED_MATRIX,
-    CorollaryNote,
     FiniteAbelianGroup,
-    KTheoryReport,
-    _corollary_notes,
     _groups_from_divisors,
     pipeline_matrix,
 )
@@ -209,15 +206,6 @@ def mod_q_kernel_cokernel(
         raise ValueError(f"need a square matrix, got {m.rows}x{m.cols}")
     group = _groups_from_divisors(smith_normal_form(m), q)
     return group, group
-
-
-def corollary_analysis(
-    report: KTheoryReport, integral_hints=None
-) -> tuple[CorollaryNote, ...]:
-    """Logical conclusions about integral K-groups, without computing them."""
-    return _corollary_notes(
-        report.coefficient.q, report.even_group, report.odd_group, integral_hints
-    )
 
 
 class VerificationReport(NamedTuple):

@@ -1,11 +1,13 @@
 import argparse
 import csv
+import hashlib
 import io
 import json
 import os
 import shlex
 import subprocess
 import sys
+import time
 import tracemalloc
 import typing
 from pathlib import Path
@@ -159,6 +161,88 @@ def test_compute_prints_the_answer_and_not_m(capsys):
         "schema_version", "params", "coefficient", "matrix_source", "divisors",
         "even_group", "odd_group", "negative_degrees", "corollary", "verification",
     ]
+
+
+DATA = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("fmt, suffix", [("pretty", "txt"), ("json", "json")])
+@pytest.mark.parametrize(
+    "argv, recorded",
+    [
+        # conclusion (ii): det M = 25 is prime to 7
+        (("--n", "5", "--d", "3", "--weights", "1,2,2", "--prime", "7", "--exponent", "2"),
+         "compute_5_3_1_2_2_l7_nu2"),
+        # conclusion (i) at both parities
+        (("--n", "9", "--d", "3", "--weights", "1,1,7", "--prime", "3", "--exponent", "2"),
+         "compute_9_3_1_1_7_l3_nu2"),
+        (("--source", "family", "--n", "6", "--d", "6", "--weights", "1,1,1,1,1,1",
+          "--prime", "3", "--exponent", "2"), "compute_family_6_l3_nu2"),
+        ((*FIXTURE_ARGS, "--prime", "13"), "compute_fixture_l13"),
+    ],
+)
+def test_compute_output_matches_the_recorded_text(capsys, argv, recorded, fmt, suffix):
+    # Recorded while the report still stored its odd group, negative degrees
+    # and notes beside the even group: reading them off it changes no byte.
+    code, out, err = run_cli(capsys, "compute", *argv, "--format", fmt)
+    assert (code, err) == (0, "")
+    assert out == (DATA / f"{recorded}.{suffix}").read_text()
+
+
+def test_sweep_builds_no_corollary_note(capsys, monkeypatch):
+    # The corollary column follows from the group alone.
+    def refuse(*args):
+        raise AssertionError("a sweep built a corollary note")
+
+    monkeypatch.setattr(ksing.ktheory, "_corollary_notes", refuse)
+    code, out, err = run_cli(capsys, "sweep", "--n", "2-8", "--weights-mode", "all", "--primes", "2,3")
+    assert (code, err) == (0, "")
+    assert out == (DATA / "sweep_2-8_all_2_3.csv").read_text()
+
+
+@pytest.mark.parametrize(
+    "nu, digest",
+    [
+        ("1", "4ccfac3d1efd8a28c8b64c10ac8df55264c3b99d06137619955b15395a4d2582"),
+        ("2", "2a894c9c9205b3028396ec8ba9ee082c8bd6199e5b0cf550e9eec20a9cc5fbf3"),
+    ],
+)
+def test_sweep_csv_keeps_its_recorded_digest(capsys, nu, digest):
+    # SHA-256 of the 1,318-row CSV as it was when q was put in decimal a row.
+    argv = ["sweep", "--n", "2-12", "--weights-mode", "all", "--primes", "2", "--exponent", nu]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == 1 + 1318
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_sweep_at_the_exponent_bound_formats_q_once_a_prime():
+    # q = 2**32768 has 9,865 digits; turned to decimal for each of the 1,318
+    # rows, and written into each row's notes, it took 6.9 s.
+    start = time.perf_counter()
+    proc = _run_module(
+        "-m", "ksing.cli", "sweep", "--n", "2-12", "--weights-mode", "all", "--primes", "2",
+        "--exponent", "32768", timeout=30,
+    )
+    elapsed = time.perf_counter() - start
+    assert (proc.returncode, proc.stderr) == (0, "")
+    rows = list(csv.reader(io.StringIO(proc.stdout)))[1:]
+    assert len(rows) == 1318 and {(row[4], len(row[5])) for row in rows} == {("32768", 9865)}
+    assert elapsed < 2
+
+
+def test_sweep_refuses_a_set_past_the_compute_cap_before_any_row(capsys):
+    assert ksing.cli.MAX_ND is ksing.commands.MAX_ND == 100_000
+    assert ksing.cli.ComputeTooLarge is ksing.commands.ComputeTooLarge
+    # 316 * 316 = 99,856 is under the cap and 317 * 317 = 100,489 is not;
+    # n = d = 4000, one cell, printed only the header in 60 s.
+    for n, nd in (("316-317", 100489), ("4000", 16000000)):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "sweep", "--n", n, "--primes", "2")
+        assert (code, out) == (2, "") and time.perf_counter() - start < 1
+        assert err == f"error: ComputeTooLarge: n * d = {nd} is above sweep's cap of 100000\n"
+    code, out, err = run_cli(capsys, "sweep", "--n", "316", "--primes", "2")
+    assert (code, err) == (0, "") and len(out.splitlines()) == 2
 
 
 @pytest.mark.parametrize("fmt", ["pretty", "json"])
@@ -764,6 +848,7 @@ def test_compute_refuses_input_past_its_cap(argv):
             "ExponentTooLarge",
         ),
         (("sweep", "--n", "3-5", "--primes", "2", "--exponent", "10000000"), "ExponentTooLarge"),
+        (("sweep", "--n", "4000", "--weights-mode", "ones", "--primes", "2"), "ComputeTooLarge"),
     ],
 )
 def test_commands_refuse_input_past_their_caps(argv, error):

@@ -26,7 +26,6 @@ from ksing import (
     TRIVIAL_GROUP,
     cartan_matrix,
     compute_ktheory,
-    corollary_analysis,
     determinant,
     family_matrix_closed_form,
     matrix_from_source,
@@ -412,26 +411,64 @@ class TestCorollaryAnalysis:
         report = compute_ktheory(
             validate_params(3, 3, [1, 1, 1]), validate_prime_power(3, 1)
         )
-        notes = corollary_analysis(report)
+        notes = report.corollary_notes
         assert [n.conclusion for n in notes] == ["i", "i"]
         assert {n.parity for n in notes} == {"even", "odd"}
         assert all("3" in n.statement for n in notes)
 
     def test_conclusion_ii_fires_on_vanishing(self):
         report = compute_ktheory(LOW_DIM_PARAMS, validate_prime_power(7, 2))
-        notes = corollary_analysis(report)
+        notes = report.corollary_notes
         assert [n.conclusion for n in notes] == ["ii"]
         assert notes[0].parity is None
         assert "49-divisible" in notes[0].statement
 
-    def test_hints_are_recorded_not_interpreted(self):
-        report = compute_ktheory(LOW_DIM_PARAMS, validate_prime_power(7, 1))
-        notes = corollary_analysis(report, integral_hints="context")
-        assert "context" in notes[0].statement
-
     def test_notes_attached_to_report(self):
+        # The notes are read off the stored group, not stored beside it.
         report = compute_ktheory(LOW_DIM_PARAMS, validate_prime_power(7, 1))
-        assert report.corollary_notes == corollary_analysis(report)
+        assert "corollary_notes" not in report._fields
+        assert report.corollary_notes == ksing.ktheory._corollary_notes(7, report.even_group)
+
+    def test_corollary_analysis_is_gone(self):
+        assert "corollary_analysis" not in ksing.__all__
+        for module in (ksing, ksing.ktheory, ksing.verification):
+            with pytest.raises(AttributeError):
+                module.corollary_analysis
+
+
+class TestReportStoresItsAnswerOnce:
+    def test_fields_are_what_is_computed(self):
+        assert KTheoryReport._fields == (
+            "params", "coefficient", "matrix_source", "matrix", "divisors", "even_group",
+        )
+
+    @pytest.mark.parametrize("l, nu", [(5, 1), (7, 2)])  # a nonzero group, then 0
+    def test_the_rest_is_read_off_the_even_group(self, l, nu):
+        report = compute_ktheory(LOW_DIM_PARAMS, validate_prime_power(l, nu))
+        assert report.odd_group is report.even_group
+        assert report.negative_degrees is TRIVIAL_GROUP
+        assert len(report) == 6 and len(report._asdict()) == 6
+        for name in ("odd_group", "negative_degrees", "corollary_notes"):
+            with pytest.raises(AttributeError):
+                setattr(report, name, TRIVIAL_GROUP)
+
+    @pytest.mark.parametrize("name", ["odd_group", "negative_degrees", "corollary_notes"])
+    def test_the_constructor_takes_no_derived_field(self, name):
+        report = compute_ktheory(LOW_DIM_PARAMS, validate_prime_power(5, 1))
+        with pytest.raises(TypeError):
+            KTheoryReport(**report._asdict(), **{name: TRIVIAL_GROUP})
+
+    def test_from_json_dict_reads_only_the_even_group(self):
+        report = compute_ktheory(LOW_DIM_PARAMS, validate_prime_power(5, 1))
+        tampered = {
+            **report.to_json_dict(),
+            "odd_group": [2, 4],
+            "negative_degrees": [3],
+            "corollary": [{"conclusion": "ii", "parity": None, "statement": "forged"}],
+        }
+        copy = KTheoryReport.from_json_dict(tampered)
+        assert copy == report
+        assert copy.to_json_dict() == report.to_json_dict()
 
 
 class TestVerifyPaper:

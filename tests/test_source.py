@@ -6,6 +6,8 @@ import hashlib
 import importlib
 import inspect
 import os
+import pkgutil
+import re
 import runpy
 import subprocess
 import sys
@@ -301,10 +303,6 @@ PINNED = {
         "(m: 'IntMatrix', q: 'int') -> 'tuple[FiniteAbelianGroup, FiniteAbelianGroup]'",
         "94dc1f47b61eb4bb",
     ),
-    ("ktheory", "corollary_analysis"): (
-        "(report: 'KTheoryReport', integral_hints=None) -> 'tuple[CorollaryNote, ...]'",
-        "f6fb205af831a6c6",
-    ),
 }
 
 
@@ -464,3 +462,27 @@ def test_no_test_module_imports_a_private_name_at_module_level():
     ]
     assert len(list(Path(__file__).resolve().parent.glob("test_*.py"))) > 5
     assert found == []
+
+
+def test_readme_names_every_exit_2_class_with_its_home():
+    # The list in README's exit-code paragraph, as (class, module) pairs,
+    # against every InputError subclass the package defines.
+    for info in pkgutil.iter_modules(ksing.__path__):
+        importlib.import_module(f"ksing.{info.name}")
+    classes, seen = [ksing.InputError], set()
+    while classes:
+        for sub in classes.pop().__subclasses__():
+            if sub.__module__.startswith("ksing.") and sub not in seen:
+                seen.add(sub)
+                classes.append(sub)
+    defined = {(cls.__name__, cls.__module__) for cls in seen}
+
+    text = " ".join((SOURCE.parents[1] / "README.md").read_text().split())
+    listed = text.split("the class one of the `InputError` subclasses:", 1)[1]
+    listed = listed.split("; or `InputError` itself.", 1)[0]
+    named = set()
+    for group in listed.split(";"):
+        names, home = group.split("(", 1)
+        module = re.match(r"\s*`(ksing\.\w+)`", home).group(1)
+        named |= {(name, module) for name in re.findall(r"`(\w+)`", names)}
+    assert named == defined
